@@ -23,7 +23,7 @@ print(f"model: k={k}, omega={omega}, c={params.c}, a={params.a}, az={params.az}"
 
 # the azimuth beta equals -chi wherever the transverse field is nonzero
 pt = df.SpaceTimePoint(0.7, -0.4, 0.3, t=0.2)
-ax, ay, _, _ = df.eval_disclination(model, pt, pt.t)
+ax, ay, _, _ = model.components(pt.x, pt.y, pt.z, pt.t)
 beta = df.azimuth_beta(ax, ay)
 chi = df.phase_chi(params, pt)
 print(f"\nazimuth check at one point: beta={beta:+.6f}, "

@@ -34,6 +34,7 @@ from .fields import (
     sample_potential,
     sample_scalar,
     time_derivative,
+    time_derivatives,
 )
 from .forms import (
     Chain,
@@ -78,12 +79,9 @@ from .models import (
     UnsupportedModelError,
     WaveParams,
     azimuth_beta,
-    eval_disclination,
-    eval_dislocation,
     model_from_descriptor,
     model_to_descriptor,
     phase_chi,
-    pure_gauge_from_scalar,
     strip_scalar_potential,
 )
 from .verify import (

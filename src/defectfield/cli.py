@@ -25,9 +25,6 @@ EXIT_CLAIM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @dataclass
 class RunManifest:
     """Reproducibility record written next to each command's output."""
@@ -458,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("DEFECTFIELD_THREADS")
-    if threads is not None:
-        if not threads.isdigit() or int(threads) < 1:
-            sys.stderr.write("DEFECTFIELD_THREADS must be a positive integer\n")
-            return EXIT_USAGE
-        for var in _THREAD_ENV_VARS:
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -23,6 +23,10 @@ class SamplingError(ValueError):
     """A model or data source produced a non-finite value at a grid node."""
 
 
+class UnsupportedModelError(TypeError):
+    """The model lacks an analytic derivative required by the operation."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular rectilinear grid: node counts, spacings, and origin."""
@@ -259,26 +263,48 @@ def laplacian(field: ComplexScalarField) -> ComplexScalarField:
     return ComplexScalarField(g, field.time, out)
 
 
+def time_derivatives(model, x, y, z, t, order: int = 1, dt=None) -> tuple:
+    """First or second time derivative of every component of a model.
+
+    Every model varies in time as exp(-i*omega*t) and declares ``omega``
+    (0 for static models), so with ``dt=None`` the result is the closed
+    form (-i*omega)**order times the components. A float ``dt`` takes the
+    2-point (order 1) or 3-point (order 2) central difference instead.
+    Returns the four potential components, or a 1-tuple for scalar models.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if hasattr(model, "components"):
+        evaluate = model.components
+    else:
+        def evaluate(x, y, z, t):
+            return (model.value(x, y, z, t),)
+    if dt is None:
+        omega = getattr(model, "omega", None)
+        if omega is None:
+            raise UnsupportedModelError(
+                f"{type(model).__name__} declares no omega, so it has no analytic "
+                "time derivative; pass dt for a finite difference")
+        f = -1j * omega if order == 1 else -(omega ** 2)
+        return tuple(f * v for v in evaluate(x, y, z, t))
+    plus = evaluate(x, y, z, t + dt)
+    minus = evaluate(x, y, z, t - dt)
+    if order == 1:
+        return tuple((p - m) / (2.0 * dt) for p, m in zip(plus, minus))
+    mid = evaluate(x, y, z, t)
+    return tuple((p - 2 * m0 + m) / dt ** 2 for p, m0, m in zip(plus, mid, minus))
+
+
 def time_derivative(model, point: SpaceTimePoint, dt: float):
     """Central-difference time derivative of a model at one space-time point.
 
     Returns a complex number for scalar models, a 4-tuple for potential
-    models. Models with a closed form also expose exact time derivatives
-    directly; the two agree to O(dt^2).
+    models. ``time_derivatives`` with ``dt=None`` gives the closed form;
+    the two agree to O(dt^2).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x, y, z, t = point.x, point.y, point.z, point.t
-    if hasattr(model, "components"):
-        plus = model.components(x, y, z, t + dt)
-        minus = model.components(x, y, z, t - dt)
-        out = tuple((p - m) / (2.0 * dt) for p, m in zip(plus, minus))
-        if any(not np.isfinite(v) for v in out):
-            raise SamplingError(f"non-finite time derivative at {point}")
-        return out
-    plus = model.value(x, y, z, t + dt)
-    minus = model.value(x, y, z, t - dt)
-    out = (plus - minus) / (2.0 * dt)
-    if not np.isfinite(out):
+    out = time_derivatives(model, point.x, point.y, point.z, point.t, dt=dt)
+    if any(not np.isfinite(v) for v in out):
         raise SamplingError(f"non-finite time derivative at {point}")
-    return complex(out)
+    return out if hasattr(model, "components") else complex(out[0])

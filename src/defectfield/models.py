@@ -6,6 +6,12 @@ four-component potentials (Ax, Ay, Az, Phi) including the pure screw
 disclination, whose transverse vector direction is indeterminate on the
 propagation axis. Every model evaluates at arbitrary space-time points
 and broadcasts over numpy arrays.
+
+Every shipped model varies in time as S(x, y, z) * exp(-i*omega*t) and
+declares ``omega`` (0 for the static ones); ``fields.time_derivatives``
+turns that into closed-form time derivatives. The base classes declare no
+``omega``, so a model that does not declare one has no analytic time
+derivative.
 """
 
 from __future__ import annotations
@@ -15,13 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpaceTimePoint
+from .fields import SpaceTimePoint, UnsupportedModelError, time_derivatives
 
 ON_SHELL_RTOL = 1e-12
-
-
-class UnsupportedModelError(TypeError):
-    """The model lacks an analytic derivative required by the operation."""
 
 
 class IndeterminateAzimuthError(ValueError):
@@ -91,12 +93,6 @@ class ScalarModel:
     def value(self, x, y, z, t):
         raise NotImplementedError
 
-    def time_derivative(self, x, y, z, t):
-        raise UnsupportedModelError(f"{type(self).__name__} has no analytic time derivative")
-
-    def second_time_derivative(self, x, y, z, t):
-        raise UnsupportedModelError(f"{type(self).__name__} has no analytic second time derivative")
-
     def gradient(self, x, y, z, t):
         raise UnsupportedModelError(f"{type(self).__name__} has no analytic gradient")
 
@@ -117,12 +113,6 @@ class TimeHarmonicScalar(ScalarModel):
 
     def value(self, x, y, z, t):
         return self.spatial(x, y, z) * self._phase(t)
-
-    def time_derivative(self, x, y, z, t):
-        return -1j * self.omega * self.value(x, y, z, t)
-
-    def second_time_derivative(self, x, y, z, t):
-        return -(self.omega ** 2) * self.value(x, y, z, t)
 
     def gradient(self, x, y, z, t):
         ph = self._phase(t)
@@ -189,7 +179,7 @@ class DislocationModel(TimeHarmonicScalar):
     a: float = 1.0
 
     def __post_init__(self):
-        if self.n == 0 or self.n != int(self.n):
+        if isinstance(self.n, bool) or self.n == 0 or self.n != int(self.n):
             raise ValueError("topological charge n must be a nonzero integer")
         if self.k < 0 or self.omega < 0:
             raise ValueError("k and omega must be nonnegative")
@@ -252,12 +242,6 @@ class PotentialModel:
     def components(self, x, y, z, t):
         raise NotImplementedError
 
-    def components_time_derivative(self, x, y, z, t):
-        raise UnsupportedModelError(f"{type(self).__name__} has no analytic time derivative")
-
-    def components_second_time_derivative(self, x, y, z, t):
-        raise UnsupportedModelError(f"{type(self).__name__} has no analytic second time derivative")
-
 
 @dataclass(frozen=True)
 class DisclinationModel(PotentialModel):
@@ -275,6 +259,10 @@ class DisclinationModel(PotentialModel):
     def c(self) -> float:
         return self.params.c
 
+    @property
+    def omega(self) -> float:
+        return self.params.omega
+
     def components(self, x, y, z, t):
         p = self.params
         if p.omega == 0:
@@ -285,14 +273,6 @@ class DisclinationModel(PotentialModel):
         az = p.az * axial
         phi = (p.k * p.c / p.omega) * az
         return (ax, 1j * ax, az, phi)
-
-    def components_time_derivative(self, x, y, z, t):
-        f = -1j * self.params.omega
-        return tuple(f * comp for comp in self.components(x, y, z, t))
-
-    def components_second_time_derivative(self, x, y, z, t):
-        f = -(self.params.omega ** 2)
-        return tuple(f * comp for comp in self.components(x, y, z, t))
 
 
 @dataclass(frozen=True)
@@ -307,37 +287,23 @@ class PureGaugeModel(PotentialModel):
     psi: ScalarModel
     c: float = 1.0
 
+    @property
+    def omega(self) -> float:
+        return self.psi.omega
+
     def __post_init__(self):
-        for method in ("gradient", "time_derivative"):
-            try:
-                getattr(self.psi, method)(0.0, 0.0, 0.0, 0.0)
-            except UnsupportedModelError:
-                raise UnsupportedModelError(
-                    f"pure gauge requires a scalar model with analytic {method}"
-                )
-            except NotImplementedError:
-                raise UnsupportedModelError(
-                    f"pure gauge requires an evaluable scalar model with {method}"
-                )
+        try:
+            self.psi.gradient(0.0, 0.0, 0.0, 0.0)
+            time_derivatives(self.psi, 0.0, 0.0, 0.0, 0.0)
+        except (UnsupportedModelError, NotImplementedError) as exc:
+            raise UnsupportedModelError(
+                f"pure gauge requires an evaluable scalar model with an analytic "
+                f"gradient and omega: {exc}") from exc
 
     def components(self, x, y, z, t):
         gx, gy, gz = self.psi.gradient(x, y, z, t)
-        phi = -self.psi.time_derivative(x, y, z, t) / self.c
+        phi = -time_derivatives(self.psi, x, y, z, t)[0] / self.c
         return (gx, gy, gz, phi)
-
-    def _omega(self) -> float:
-        omega = getattr(self.psi, "omega", None)
-        if omega is None:
-            raise UnsupportedModelError("time derivatives need a time-harmonic scalar model")
-        return omega
-
-    def components_time_derivative(self, x, y, z, t):
-        f = -1j * self._omega()
-        return tuple(f * comp for comp in self.components(x, y, z, t))
-
-    def components_second_time_derivative(self, x, y, z, t):
-        f = -(self._omega() ** 2)
-        return tuple(f * comp for comp in self.components(x, y, z, t))
 
 
 @dataclass(frozen=True)
@@ -345,17 +311,12 @@ class RigidRotationPotential(PotentialModel):
     """Static A = (-y*b0/2, x*b0/2, 0), Phi = 0; its curl is (0, 0, b0)."""
 
     b0: float = 1.0
+    omega = 0.0
 
     def components(self, x, y, z, t):
         zero = 0.0 * np.asarray(x, dtype=np.complex128)
         return (-np.asarray(y) * self.b0 / 2 + zero, np.asarray(x) * self.b0 / 2 + zero,
                 zero, zero.copy())
-
-    def components_time_derivative(self, x, y, z, t):
-        zero = 0.0 * np.asarray(x, dtype=np.complex128)
-        return (zero, zero.copy(), zero.copy(), zero.copy())
-
-    components_second_time_derivative = components_time_derivative
 
 
 @dataclass(frozen=True)
@@ -366,70 +327,45 @@ class ConstantPotential(PotentialModel):
     ay: complex = 0.0
     az: complex = 0.0
     phi: complex = 0.0
+    omega = 0.0
 
     def components(self, x, y, z, t):
         zero = 0.0 * np.asarray(x, dtype=np.complex128)
         return (self.ax + zero, self.ay + zero, self.az + zero, self.phi + zero)
 
-    def components_time_derivative(self, x, y, z, t):
-        zero = 0.0 * np.asarray(x, dtype=np.complex128)
-        return (zero, zero.copy(), zero.copy(), zero.copy())
 
-    components_second_time_derivative = components_time_derivative
+@dataclass(frozen=True)
+class strip_scalar_potential(PotentialModel):
+    """The model with its scalar potential forced to zero (a broken gauge pair)."""
 
+    model: PotentialModel
 
-class ZeroScalarPotential(PotentialModel):
-    """Wrapper forcing Phi = 0 while keeping the vector part of a model."""
+    @property
+    def c(self) -> float:
+        return self.model.c
 
-    def __init__(self, inner: PotentialModel):
-        self.inner = inner
-        self.c = inner.c
-
-    def _zeroed(self, comps):
-        ax, ay, az, _ = comps
-        return (ax, ay, az, 0.0 * np.asarray(ax))
+    @property
+    def omega(self) -> float:
+        return self.model.omega
 
     def components(self, x, y, z, t):
-        return self._zeroed(self.inner.components(x, y, z, t))
-
-    def components_time_derivative(self, x, y, z, t):
-        return self._zeroed(self.inner.components_time_derivative(x, y, z, t))
-
-    def components_second_time_derivative(self, x, y, z, t):
-        return self._zeroed(self.inner.components_second_time_derivative(x, y, z, t))
-
-
-def strip_scalar_potential(model: PotentialModel) -> ZeroScalarPotential:
-    """Return the model with its scalar potential forced to zero (a broken gauge pair)."""
-    return ZeroScalarPotential(model)
-
-
-def eval_disclination(model: DisclinationModel, point: SpaceTimePoint, t: float):
-    """Disclination components at a single point; returns (Ax, Ay, Az, Phi)."""
-    return tuple(
-        complex(v) for v in model.components(point.x, point.y, point.z, t)
-    )
-
-
-def eval_dislocation(model: DislocationModel, point: SpaceTimePoint, t: float) -> complex:
-    """Dislocation value at a single point."""
-    return complex(model.value(point.x, point.y, point.z, t))
-
-
-def pure_gauge_from_scalar(psi: ScalarModel, point: SpaceTimePoint, t: float,
-                           c: float = 1.0):
-    """(Ax, Ay, Az, Phi) of the pure-gauge pair generated by psi, at one point."""
-    gauge = PureGaugeModel(psi, c=c)
-    return tuple(complex(v) for v in gauge.components(point.x, point.y, point.z, t))
+        ax, ay, az, _ = self.model.components(x, y, z, t)
+        return (ax, ay, az, 0.0 * np.asarray(ax))
 
 
 def _complex_to_json(v: complex):
     return [float(np.real(v)), float(np.imag(v))]
 
 
+def _reals_from_json(v, count: int) -> tuple:
+    if not isinstance(v, (list, tuple)) or len(v) != count:
+        raise ValueError(f"expected a list of {count} numbers, got {v!r}")
+    return tuple(float(x) for x in v)
+
+
 def _complex_from_json(v) -> complex:
     if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
+        return complex(*_reals_from_json(v, 2))
     return complex(v)
 
 
@@ -473,12 +409,11 @@ def model_from_descriptor(descriptor: dict):
                                 a=None if a is None else float(a), az=az)
             model = DisclinationModel(params)
         elif kind == "dislocation":
-            model = DislocationModel(n=int(d.pop("n")), k=float(d.pop("k", 1.0)),
+            model = DislocationModel(n=d.pop("n"), k=float(d.pop("k", 1.0)),
                                      omega=float(d.pop("omega", 1.0)),
                                      a=float(d.pop("a", 1.0)))
         elif kind == "plane_wave":
-            kvec = d.pop("kvec", [0.0, 0.0, 1.0])
-            model = PlaneWaveModel(kvec=tuple(float(v) for v in kvec),
+            model = PlaneWaveModel(kvec=_reals_from_json(d.pop("kvec", [0.0, 0.0, 1.0]), 3),
                                    omega=float(d.pop("omega", 1.0)),
                                    amplitude=_complex_from_json(d.pop("amplitude", 1.0)))
         elif kind == "product_sine":
@@ -494,7 +429,7 @@ def model_from_descriptor(descriptor: dict):
             model = PureGaugeModel(psi=psi, c=float(d.pop("c", 1.0)))
         else:
             raise ValueError(f"unknown model kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid {kind!r} descriptor: {exc}") from exc
     if d:
         raise ValueError(f"unknown descriptor keys for {kind!r}: {sorted(d)}")

@@ -3,7 +3,9 @@
 Every check samples a model onto a grid, applies the finite-difference
 operators, and reports interior statistics (nodes at least two cells from
 every boundary, so one-sided boundary stencils never pollute convergence
-orders). Refinement studies report the observed order
+orders). Time derivatives come from ``fields.time_derivatives``: the
+closed form from the model's ``omega`` by default, a central difference
+when a time step is given. Refinement studies report the observed order
 log2(residual(h) / residual(h/2)).
 """
 
@@ -18,13 +20,14 @@ from .fields import (
     ComplexScalarField,
     GridSpec,
     PotentialField,
+    UnsupportedModelError,
     _diff_array,
     curl,
     laplacian,
     sample_potential,
     sample_scalar,
+    time_derivatives,
 )
-from .models import UnsupportedModelError
 
 MATCHED = "matched"
 ANALYTIC = "analytic"
@@ -58,26 +61,6 @@ def _report(name: str, grid: GridSpec, arrays) -> ResidualReport:
     return ResidualReport(name, mx, rms, float(max(grid.spacing)))
 
 
-def _grid_eval(model, grid: GridSpec, t: float, method: str):
-    X, Y, Z = grid.meshgrid()
-    return getattr(model, method)(X, Y, Z, t)
-
-
-def _components_time_derivative(field: PotentialField, model, dt):
-    """Time derivative of all four components on the field's grid.
-
-    ``dt=None`` asks the model for its closed form; a float requests a
-    central difference of the model with that step.
-    """
-    t = field.time
-    if dt is None:
-        return _grid_eval(model, field.grid, t, "components_time_derivative")
-    X, Y, Z = field.grid.meshgrid()
-    plus = model.components(X, Y, Z, t + dt)
-    minus = model.components(X, Y, Z, t - dt)
-    return tuple((p - m) / (2.0 * dt) for p, m in zip(plus, minus))
-
-
 def electric_field(field: PotentialField, model, dt=None):
     """E = -grad(Phi) - (1/c) dA/dt as three scalar fields.
 
@@ -86,7 +69,7 @@ def electric_field(field: PotentialField, model, dt=None):
     """
     g = field.grid
     c = model.c
-    dax, day, daz, _ = _components_time_derivative(field, model, dt)
+    dax, day, daz, _ = time_derivatives(model, *g.meshgrid(), field.time, dt=dt)
     ex = -_diff_array(field.phi, g, 0) - np.asarray(dax, dtype=np.complex128) / c
     ey = -_diff_array(field.phi, g, 1) - np.asarray(day, dtype=np.complex128) / c
     ez = -_diff_array(field.phi, g, 2) - np.asarray(daz, dtype=np.complex128) / c
@@ -132,11 +115,11 @@ def lorentz_residual(field: PotentialField, model, time_step=MATCHED) -> Residua
     )
     if time_step == MATCHED:
         dt = _matched_dt(field, model)
-        dphi = _components_time_derivative(field, model, dt)[3]
     elif time_step == ANALYTIC:
-        dphi = _components_time_derivative(field, model, None)[3]
+        dt = None
     else:
-        dphi = _components_time_derivative(field, model, float(time_step))[3]
+        dt = float(time_step)
+    dphi = time_derivatives(model, *g.meshgrid(), field.time, dt=dt)[3]
     residual = div + np.asarray(dphi, dtype=np.complex128) / model.c
     return _report("lorentz", g, [residual])
 
@@ -146,24 +129,6 @@ def transverse_divergence(field: PotentialField) -> ResidualReport:
     g = field.grid
     residual = _diff_array(field.ax, g, 0) + _diff_array(field.ay, g, 1)
     return _report("transverse_divergence", g, [residual])
-
-
-def _second_time_derivatives(model, grid: GridSpec, t: float, dt, names):
-    if dt is None:
-        method = ("components_second_time_derivative" if hasattr(model, "components")
-                  else "second_time_derivative")
-        vals = _grid_eval(model, grid, t, method)
-        return vals if isinstance(vals, tuple) else (vals,)
-    X, Y, Z = grid.meshgrid()
-    if hasattr(model, "components"):
-        plus = model.components(X, Y, Z, t + dt)
-        mid = model.components(X, Y, Z, t)
-        minus = model.components(X, Y, Z, t - dt)
-        return tuple((p - 2 * m0 + m) / dt ** 2 for p, m0, m in zip(plus, mid, minus))
-    plus = model.value(X, Y, Z, t + dt)
-    mid = model.value(X, Y, Z, t)
-    minus = model.value(X, Y, Z, t - dt)
-    return ((plus - 2 * mid + minus) / dt ** 2,)
 
 
 def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None) -> dict:
@@ -182,7 +147,7 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None) -> di
         comps = {"Ax": sampled.ax, "Ay": sampled.ay, "Az": sampled.az, "Phi": sampled.phi}
     else:
         comps = {"psi": sample_scalar(model, grid, t).values}
-    d2t = _second_time_derivatives(model, grid, t, dt, tuple(comps))
+    d2t = time_derivatives(model, *grid.meshgrid(), t, order=2, dt=dt)
     out = {}
     for (name, values), second in zip(comps.items(), d2t):
         lap = laplacian(ComplexScalarField(grid, t, values)).values

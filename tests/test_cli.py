@@ -214,11 +214,12 @@ def test_report_mixed_pass_fail_exits_one(tmp_path):
     assert "false" in out.read_text()
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("DEFECTFIELD_THREADS", "zero")
-    assert main(["ledger", "--nu", "1.0"]) == EXIT_USAGE
-    monkeypatch.setenv("DEFECTFIELD_THREADS", "2")
-    assert main(["ledger", "--nu", "1.0"]) == EXIT_OK
+def test_generate_rejects_bad_descriptor(tmp_path):
+    descriptor = json.dumps({"model": "disclination", "k": 1.0, "az": [1]})
+    code = main(["generate", "--model", descriptor, "--dims", "8,8,1",
+                 "--out", str(tmp_path / "field.json")])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "field.json").exists()
 
 
 def test_usage_error_exit_code():

@@ -24,6 +24,7 @@ from defectfield import (
     sample_scalar,
     save_field,
     time_derivative,
+    time_derivatives,
 )
 from defectfield.models import PotentialModel
 
@@ -235,7 +236,7 @@ def test_time_derivative_static_and_plane_wave():
 
     wave = PlaneWaveModel(kvec=(0.0, 0.0, 0.0), omega=2.0)
     origin = SpaceTimePoint(0.0, 0.0, 0.0, t=0.0)
-    assert wave.time_derivative(0.0, 0.0, 0.0, 0.0) == pytest.approx(-2.0j, abs=1e-15)
+    assert time_derivatives(wave, 0.0, 0.0, 0.0, 0.0)[0] == pytest.approx(-2.0j, abs=1e-15)
     # central-difference error is omega^3 dt^2 / 6 = 1.34e-6 at dt=1e-3
     numeric = time_derivative(wave, origin, 1e-3)
     assert abs(numeric - (-2.0j)) < 1.5e-6
@@ -246,9 +247,26 @@ def test_time_derivative_potential_model():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
     pt = SpaceTimePoint(1.0, 0.5, 0.2, t=0.3)
     numeric = time_derivative(model, pt, 1e-4)
-    exact = model.components_time_derivative(pt.x, pt.y, pt.z, pt.t)
+    exact = time_derivatives(model, pt.x, pt.y, pt.z, pt.t)
     for n, e in zip(numeric, exact):
         assert abs(n - complex(e)) < 1e-7
+
+
+def test_time_derivatives_closed_form_matches_differences():
+    x, y, z, t = 1.0, 0.5, 0.2, 0.3
+    for model in (DisclinationModel(WaveParams.with_dispersion(k=1.3, c=0.8)),
+                  PlaneWaveModel(kvec=(0.4, 0.0, 1.0), omega=1.7)):
+        for order, tol in ((1, 1e-7), (2, 1e-6)):
+            exact = time_derivatives(model, x, y, z, t, order=order)
+            numeric = time_derivatives(model, x, y, z, t, order=order, dt=1e-4)
+            assert len(exact) == (4 if hasattr(model, "components") else 1)
+            for e, n in zip(exact, numeric):
+                assert abs(e - n) < tol
+    # static models declare omega = 0: every derivative vanishes
+    static = time_derivatives(ConstantScalar(5.0), x, y, z, t, order=2)
+    assert static == (0.0,)
+    with pytest.raises(ValueError):
+        time_derivatives(ConstantScalar(5.0), x, y, z, t, order=3)
 
 
 def test_time_derivative_rejects_bad_dt():

@@ -16,12 +16,9 @@ from defectfield import (
     UnsupportedModelError,
     WaveParams,
     azimuth_beta,
-    eval_disclination,
-    eval_dislocation,
     model_from_descriptor,
     model_to_descriptor,
     phase_chi,
-    pure_gauge_from_scalar,
     strip_scalar_potential,
     wrap_angle,
 )
@@ -52,34 +49,34 @@ def test_phase_chi_examples():
     assert phase_chi(q, SpaceTimePoint(1.0, 0.0, math.pi, 0.0)) == pytest.approx(TWO_PI)
 
 
-def test_eval_disclination_examples():
+def test_disclination_components_examples():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0, az=0.5 + 0.25j))
     # on axis: transverse components vanish, Az keeps its travelling factor
-    ax, ay, az, phi = eval_disclination(model, SpaceTimePoint(0.0, 0.0, 0.7), 0.3)
+    ax, ay, az, phi = model.components(0.0, 0.0, 0.7, 0.3)
     assert ax == 0.0 and ay == 0.0
     assert az == pytest.approx((0.5 + 0.25j) * np.exp(1j * (0.7 - 0.3)), abs=1e-15)
     assert phi == pytest.approx(az, abs=1e-15)  # on shell: k*c/omega = 1
 
     # a=1, r=1, chi=0: Ax = 1, Ay = i
     unit = DisclinationModel(WaveParams.with_dispersion(k=1.0, a=1.0))
-    ax, ay, _, _ = eval_disclination(unit, SpaceTimePoint(1.0, 0.0, 0.0), 0.0)
+    ax, ay, _, _ = unit.components(1.0, 0.0, 0.0, 0.0)
     assert ax == pytest.approx(1.0 + 0.0j, abs=1e-15)
     assert ay == pytest.approx(1.0j, abs=1e-15)
 
     # a=1, r=2, theta=pi/2, z=0, t=0: chi=pi/2, Ax=2i, Ay=-2
-    ax, ay, _, _ = eval_disclination(unit, SpaceTimePoint(0.0, 2.0, 0.0), 0.0)
+    ax, ay, _, _ = unit.components(0.0, 2.0, 0.0, 0.0)
     assert ax == pytest.approx(2.0j, abs=1e-14)
     assert ay == pytest.approx(-2.0 + 0.0j, abs=1e-14)
 
 
-def test_eval_dislocation_examples():
+def test_dislocation_value_examples():
     model = DislocationModel(n=1, k=1.0, omega=1.0, a=1.0)
-    assert eval_dislocation(model, SpaceTimePoint(0.0, 0.0, 0.0), 0.0) == 0.0
-    value = eval_dislocation(model, SpaceTimePoint(-1.0, 0.0, 0.0), 0.0)
+    assert model.value(0.0, 0.0, 0.0, 0.0) == 0.0
+    value = model.value(-1.0, 0.0, 0.0, 0.0)
     assert value == pytest.approx(-1.0 + 0.0j, abs=1e-15)
 
     double = DislocationModel(n=2, k=1.0, omega=1.0, a=1.0)
-    value = eval_dislocation(double, SpaceTimePoint(0.0, 1.0, 0.0), 0.0)
+    value = double.value(0.0, 1.0, 0.0, 0.0)
     assert np.angle(value) == pytest.approx(math.pi)  # n*theta = 2*(pi/2)
 
     with pytest.raises(ValueError):
@@ -95,7 +92,7 @@ def test_dislocation_matches_polar_form():
             pt = SpaceTimePoint(x, y, z, t)
             expected = 0.6 * pt.r ** abs(n) * np.exp(
                 1j * (n * pt.theta + 0.8 * z - 1.1 * t))
-            assert eval_dislocation(model, pt, t) == pytest.approx(expected, abs=1e-12)
+            assert model.value(x, y, z, t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_azimuth_beta_examples():
@@ -115,7 +112,7 @@ def test_azimuth_equals_minus_chi_mod_2pi():
             continue
         z, t = rng.uniform(-3, 3, size=2)
         pt = SpaceTimePoint(x, y, z, t)
-        ax, ay, _, _ = eval_disclination(model, pt, t)
+        ax, ay, _, _ = model.components(pt.x, pt.y, pt.z, t)
         beta = azimuth_beta(ax, ay)
         chi = phase_chi(model.params, pt)
         assert abs(wrap_angle(beta + chi)) < 1e-12
@@ -129,21 +126,21 @@ def test_z0_phase_condition():
     for t in np.linspace(0.0, TWO_PI / omega, 9, endpoint=False):
         for theta in thetas:
             pt = SpaceTimePoint(math.cos(theta), math.sin(theta), 0.0, t)
-            ax, ay, _, _ = eval_disclination(model, pt, t)
+            ax, ay, _, _ = model.components(pt.x, pt.y, pt.z, t)
             beta = azimuth_beta(ax, ay)
             lhs = beta - pt.theta
             rhs = -2.0 * (pt.theta - omega * t / 2.0)
             assert abs(wrap_angle(lhs - rhs)) < 1e-9
 
 
-def test_pure_gauge_from_scalar_examples():
+def test_pure_gauge_components_examples():
     pt = SpaceTimePoint(0.2, -0.4, 0.6)
-    assert pure_gauge_from_scalar(ConstantScalar(3.0 + 1.0j), pt, 0.5) == (0, 0, 0, 0)
+    assert PureGaugeModel(ConstantScalar(3.0 + 1.0j)).components(pt.x, pt.y, pt.z, 0.5) == (0, 0, 0, 0)
 
     # psi = e^{i(kz - wt)}, k=omega=c=1: A = (0, 0, i psi), Phi = i psi
     psi = PlaneWaveModel(kvec=(0.0, 0.0, 1.0), omega=1.0)
     t = 0.25
-    ax, ay, az, phi = pure_gauge_from_scalar(psi, pt, t)
+    ax, ay, az, phi = PureGaugeModel(psi).components(pt.x, pt.y, pt.z, t)
     expected = 1j * np.exp(1j * (pt.z - t))
     assert ax == 0.0 and ay == 0.0
     assert az == pytest.approx(expected, abs=1e-15)
@@ -151,7 +148,7 @@ def test_pure_gauge_from_scalar_examples():
 
     # psi = (x+iy) e^{i(kz - wt)}: Ax = e^{i(kz-wt)}, Ay = i e^{i(kz-wt)}
     vortex = DislocationModel(n=1, k=1.0, omega=1.0, a=1.0)
-    ax, ay, _, _ = pure_gauge_from_scalar(vortex, pt, t)
+    ax, ay, _, _ = PureGaugeModel(vortex).components(pt.x, pt.y, pt.z, t)
     carrier = np.exp(1j * (pt.z - t))
     assert ax == pytest.approx(carrier, abs=1e-15)
     assert ay == pytest.approx(1j * carrier, abs=1e-15)
@@ -173,6 +170,9 @@ def test_strip_scalar_potential():
     full = model.components(1.0, 0.5, 0.2, 0.1)
     assert phi == 0.0
     assert ax == full[0] and ay == full[1] and az == full[2]
+    # no params, so the matched time step falls back to dz/c
+    assert not hasattr(broken, "params")
+    assert (broken.c, broken.omega) == (model.c, model.omega)
 
 
 def test_product_sine_gradient_consistency():
@@ -213,3 +213,17 @@ def test_descriptor_rejects_garbage():
         model_from_descriptor({"model": "disclination", "k": -1.0})
     with pytest.raises(ValueError):
         model_from_descriptor({"model": "dislocation", "n": 1, "bogus": 2})
+    with pytest.raises(ValueError):
+        model_from_descriptor({"model": "disclination", "k": 1.0, "az": [1]})
+    with pytest.raises(ValueError):
+        model_from_descriptor({"model": "disclination", "k": 1.0, "az": [1, 2, 3]})
+    with pytest.raises(ValueError):
+        model_from_descriptor({"model": "plane_wave", "amplitude": [1]})
+    with pytest.raises(ValueError):
+        model_from_descriptor({"model": "constant", "value": [1]})
+    with pytest.raises(ValueError):
+        model_from_descriptor({"model": "dislocation", "n": 1.5})
+    with pytest.raises(ValueError):
+        model_from_descriptor({"model": "dislocation", "n": True})
+    with pytest.raises(ValueError):
+        model_from_descriptor({"model": "plane_wave", "kvec": [1, 2]})

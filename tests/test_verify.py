@@ -12,6 +12,8 @@ from defectfield import (
     ProductSineModel,
     PureGaugeModel,
     RigidRotationPotential,
+    ScalarModel,
+    UnsupportedModelError,
     WaveParams,
     convergence_study,
     electric_field,
@@ -59,13 +61,11 @@ def test_electric_field_constant_potentials():
 class _LinearPhi(PotentialModel):
     """Static A = 0, Phi = -x, so E = (1, 0, 0)."""
 
+    omega = 0.0
+
     def components(self, x, y, z, t):
         zero = 0.0 * np.asarray(x, dtype=np.complex128)
         return (zero, zero.copy(), zero.copy(), -np.asarray(x) + zero)
-
-    def components_time_derivative(self, x, y, z, t):
-        zero = 0.0 * np.asarray(x, dtype=np.complex128)
-        return (zero, zero.copy(), zero.copy(), zero.copy())
 
 
 def test_electric_field_linear_phi():
@@ -76,6 +76,38 @@ def test_electric_field_linear_phi():
     assert np.allclose(ex.values, 1.0, atol=1e-13)
     assert np.max(np.abs(ey.values)) < 1e-13
     assert np.max(np.abs(ez.values)) < 1e-13
+
+
+class _WaveWithoutOmega(ScalarModel):
+    """exp(i*(z - t)) with no declared omega, so no analytic time derivative."""
+
+    def value(self, x, y, z, t):
+        return np.exp(1j * (np.asarray(z) - t)) + 0.0 * np.asarray(x)
+
+
+class _PotentialWithoutOmega(PotentialModel):
+    def components(self, x, y, z, t):
+        v = _WaveWithoutOmega().value(x, y, z, t)
+        return (v, 1j * v, 0.0 * v, v)
+
+
+def test_models_without_omega_need_a_time_step():
+    grid = GridSpec.centered((2.0, 2.0, 2.0), (9, 9, 9))
+    scalar, potential = _WaveWithoutOmega(), _PotentialWithoutOmega()
+    field = sample_potential(potential, grid, 0.0)
+    # never a plain TypeError, and never silently static
+    with pytest.raises(UnsupportedModelError):
+        wave_residual(scalar, grid, 0.0, c=1.0)
+    with pytest.raises(UnsupportedModelError):
+        wave_residual(potential, grid, 0.0)
+    with pytest.raises(UnsupportedModelError):
+        electric_field(field, potential)
+    with pytest.raises(UnsupportedModelError):
+        lorentz_residual(field, potential, time_step="analytic")
+    # a finite-difference time step needs no omega: both sides are -f
+    for model in (scalar, potential):
+        report = wave_residual(model, grid, 0.0, dt=0.01, c=1.0)
+        assert 0.0 < report.interior_max < 0.05  # O(h^2) spatial error, |f| = 1
 
 
 @pytest.mark.parametrize("psi", PSI_MODELS, ids=("vortex", "oblique", "sines"))
