@@ -23,6 +23,7 @@ from .fields import (
     UnsupportedModelError,
     _diff_array,
     curl,
+    harmonic_factor,
     laplacian,
     sample_potential,
     sample_scalar,
@@ -49,11 +50,24 @@ def interior_slices(dims) -> tuple:
     return tuple(slice(2, n - 2) if n >= 5 else slice(None) for n in dims)
 
 
+def _interior_sums(region: tuple, a) -> tuple[float, float, int]:
+    """(max, sum of squares, count) of |a| over the region."""
+    mags = np.abs(np.asarray(a)[region])
+    return float(mags.max()), float(np.square(mags, out=mags).sum()), mags.size
+
+
+def _max_rms(sums) -> tuple[float, float]:
+    peaks, squares, counts = zip(*sums)
+    return max(peaks), math.sqrt(sum(squares) / sum(counts))
+
+
 def interior_stats(grid: GridSpec, arrays) -> tuple[float, float]:
-    """(max, rms) of |values| over the interior region, across all given arrays."""
+    """(max, rms) of |values| over the interior region, across all given arrays.
+
+    Each array is reduced on its own, without a concatenated copy.
+    """
     region = interior_slices(grid.dims)
-    mags = np.concatenate([np.abs(np.asarray(a)[region]).ravel() for a in arrays])
-    return float(mags.max()), float(np.sqrt(np.mean(mags ** 2)))
+    return _max_rms([_interior_sums(region, a) for a in arrays])
 
 
 def _report(name: str, grid: GridSpec, arrays) -> ResidualReport:
@@ -69,7 +83,7 @@ def electric_field(field: PotentialField, model, dt=None):
     """
     g = field.grid
     c = model.c
-    dax, day, daz, _ = time_derivatives(model, *g.meshgrid(), field.time, dt=dt)
+    dax, day, daz, _ = time_derivatives(model, *g.open_grid(), field.time, dt=dt)
     ex = -_diff_array(field.phi, g, 0) - np.asarray(dax, dtype=np.complex128) / c
     ey = -_diff_array(field.phi, g, 1) - np.asarray(day, dtype=np.complex128) / c
     ez = -_diff_array(field.phi, g, 2) - np.asarray(daz, dtype=np.complex128) / c
@@ -119,7 +133,7 @@ def lorentz_residual(field: PotentialField, model, time_step=MATCHED) -> Residua
         dt = None
     else:
         dt = float(time_step)
-    dphi = time_derivatives(model, *g.meshgrid(), field.time, dt=dt)[3]
+    dphi = time_derivatives(model, *g.open_grid(), field.time, dt=dt)[3]
     residual = div + np.asarray(dphi, dtype=np.complex128) / model.c
     return _report("lorentz", g, [residual])
 
@@ -131,34 +145,52 @@ def transverse_divergence(field: PotentialField) -> ResidualReport:
     return _report("transverse_divergence", g, [residual])
 
 
-def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None) -> dict:
+def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
+                         reduce=None) -> dict:
     """Per-component arrays of laplacian(f) - (1/c^2) d2f/dt2 on the grid.
 
-    The spatial part differentiates the sampled component; the temporal
-    part is the model's closed form, or a 3-point central difference when
-    dt is given.
+    The spatial part differentiates the sampled component. The temporal
+    part is the sampled component times the closed-form factor of
+    ``time_derivatives``, or a 3-point central difference of the model
+    when dt is given. Components are done one at a time. ``reduce``, when
+    given, maps each residual array as soon as it is computed and the dict
+    holds what it returns, so no two residual arrays are alive at once.
     """
     if c is None:
         c = getattr(model, "c", None)
         if c is None:
             raise UnsupportedModelError("model has no wave speed; pass c explicitly")
+    if dt is None:
+        coef = harmonic_factor(model, 2) / c ** 2
     if hasattr(model, "components"):
         sampled = sample_potential(model, grid, t)
         comps = {"Ax": sampled.ax, "Ay": sampled.ay, "Az": sampled.az, "Phi": sampled.phi}
     else:
         comps = {"psi": sample_scalar(model, grid, t).values}
-    d2t = time_derivatives(model, *grid.meshgrid(), t, order=2, dt=dt)
-    out = {}
-    for (name, values), second in zip(comps.items(), d2t):
-        lap = laplacian(ComplexScalarField(grid, t, values)).values
-        out[name] = lap - np.asarray(second, dtype=np.complex128) / c ** 2
-    return out
+    if dt is not None:
+        second = time_derivatives(model, *grid.open_grid(), t, order=2, dt=dt)
+
+    def residual(i, values):
+        r = laplacian(ComplexScalarField(grid, t, values)).values
+        if dt is None:
+            r -= coef * values
+        else:
+            r -= np.asarray(second[i], dtype=np.complex128) / c ** 2
+        return r if reduce is None else reduce(r)
+
+    return {name: residual(i, values) for i, (name, values) in enumerate(comps.items())}
 
 
 def wave_residual(model, grid: GridSpec, t: float, dt=None, c=None) -> ResidualReport:
-    """Interior statistics of the wave operator applied to every component."""
-    fields = wave_residual_fields(model, grid, t, dt=dt, c=c)
-    return _report("wave", grid, list(fields.values()))
+    """Interior statistics of the wave operator applied to every component.
+
+    Each component's residual is reduced before the next one is computed.
+    """
+    region = interior_slices(grid.dims)
+    sums = wave_residual_fields(model, grid, t, dt, c,
+                                reduce=lambda r: _interior_sums(region, r))
+    mx, rms = _max_rms(sums.values())
+    return ResidualReport("wave", mx, rms, float(max(grid.spacing)))
 
 
 def convergence_study(make_report, grid: GridSpec, refinements: int = 2):

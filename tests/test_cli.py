@@ -138,6 +138,24 @@ def test_verify_single_refinement_empty_orders(tmp_path):
     assert wave[5] == ""
 
 
+def test_verify_base_grid_residual_independent_of_refinements(tmp_path):
+    values = []
+    for refinements in ("1", "3"):
+        out = tmp_path / f"r{refinements}.csv"
+        assert main(["verify", "--model", DISCLINATION, "--out", str(out),
+                     "--refinements", refinements, "--dims", "21"]) == EXIT_OK
+        wave = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]
+                if ln.startswith("wave_residual_rel")][0]
+        values.append(wave[1])
+    assert values[0] == values[1]
+
+
+def test_verify_rejects_zero_amplitude(capsys):
+    zero = json.dumps({"model": "disclination", "k": 1.0, "a": 0, "az": [0, 0]})
+    assert main(["verify", "--model", zero, "--dims", "9", "--refinements", "1"]) == EXIT_USAGE
+    assert "amplitude" in capsys.readouterr().err
+
+
 def test_verify_requires_disclination(tmp_path, capsys):
     assert main(["verify", "--model", DISLOCATION]) == EXIT_USAGE
 

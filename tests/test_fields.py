@@ -5,12 +5,15 @@ import pytest
 
 from defectfield import (
     ComplexScalarField,
+    ConstantPotential,
     ConstantScalar,
     DisclinationModel,
     DislocationModel,
     GridSpec,
     PlaneWaveModel,
     PotentialField,
+    ProductSineModel,
+    PureGaugeModel,
     RigidRotationPotential,
     SamplingError,
     SpaceTimePoint,
@@ -23,6 +26,7 @@ from defectfield import (
     sample_potential,
     sample_scalar,
     save_field,
+    strip_scalar_potential,
     time_derivative,
     time_derivatives,
 )
@@ -88,6 +92,40 @@ def test_sampling_is_pure_evaluation():
         x, y, z = grid.node_position(i, j, k)
         point_value = complex(model.value(x, y, z, 0.4))
         assert f.values[i, j, k] == pytest.approx(point_value, rel=5e-16, abs=1e-300)
+
+
+SHIPPED_MODELS = (
+    DisclinationModel(WaveParams.with_dispersion(k=1.3, c=0.8, a=0.7, az=0.4 - 0.3j)),
+    DisclinationModel(WaveParams(k=1.0, omega=2.0, c=1.0)),
+    *(DislocationModel(n=n, k=0.9, omega=1.7, a=1.2) for n in (1, -1, 3, -3)),
+    PlaneWaveModel(kvec=(0.3, -1.1, 0.7), omega=0.9, amplitude=0.5 + 2.0j),
+    ProductSineModel(qx=0.7, qy=1.9, kz=0.4, omega=1.3, a=2.0),
+    ConstantScalar(2.0 - 1.0j),
+    PureGaugeModel(DislocationModel(n=-3, k=0.8, omega=1.1), c=0.9),
+    PureGaugeModel(ProductSineModel(), c=1.0),
+    RigidRotationPotential(b0=2.0),
+    ConstantPotential(ax=1.0 + 1.0j, ay=2.0, az=3.0j, phi=-1.0),
+    strip_scalar_potential(DisclinationModel(WaveParams.with_dispersion(k=1.0))),
+)
+
+
+@pytest.mark.parametrize("model", SHIPPED_MODELS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("dims", [(17, 12, 9), (7, 1, 5), (2, 3, 1)])
+def test_sampling_matches_dense_evaluation(model, dims):
+    grid = GridSpec.centered((4.0, 3.0, 2.5), dims)
+    X, Y, Z = grid.meshgrid()  # dense reference
+    for t in (0.0, 0.37):
+        if hasattr(model, "components"):
+            dense = model.components(X, Y, Z, t)
+            f = sample_potential(model, grid, t)
+            sampled = (f.ax, f.ay, f.az, f.phi)
+        else:
+            dense = (model.value(X, Y, Z, t),)
+            sampled = (sample_scalar(model, grid, t).values,)
+        for ref, got in zip(dense, sampled, strict=True):
+            ref = np.broadcast_to(np.asarray(ref, dtype=np.complex128), dims)
+            assert got.shape == dims
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()  # bit for bit
 
 
 def test_sample_potential_zero_and_disclination():
@@ -199,6 +237,26 @@ def test_laplacian_of_quadratic():
     lap = laplacian(f).values
     inner = (slice(2, -2),) * 3
     assert np.allclose(lap[inner], 6.0, atol=1e-11)
+
+    # per axis: u**degree, exact at every node, boundaries included; u**3
+    # needs four nodes, a three-node axis takes u**2, and a two-node axis
+    # contributes zero; x*y*z is harmonic and linear along each axis
+    for dims, degrees in (((9, 7, 5), (3, 3, 3)), ((4, 6, 4), (3, 3, 3)),
+                          ((9, 3, 2), (3, 2, 3)), ((2, 5, 3), (2, 3, 2))):
+        grid = GridSpec.centered((2.0, 1.6, 1.2), dims)
+        coords = grid.meshgrid()
+        values = coords[0] * coords[1] * coords[2] + 0.5
+        expected = np.zeros(dims)
+        for u, d, n in zip(coords, degrees, dims):
+            values = values + (1.0 - 2.0j) * u**d
+            if n > 2:
+                expected = expected + (1.0 - 2.0j) * d * (d - 1) * u ** (d - 2)
+        lap = laplacian(ComplexScalarField(grid, 0.0, values)).values
+        assert np.max(np.abs(lap - expected)) < 1e-10, dims
+
+    with pytest.raises(ValueError, match="1 node"):
+        laplacian(ComplexScalarField(GridSpec((5, 1, 5), (1.0, 1.0, 1.0)), 0.0,
+                                     np.zeros((5, 1, 5), complex)))
 
 
 class _QuadraticPotential(PotentialModel):

@@ -247,6 +247,24 @@ def test_wave_residual_numeric_time_matches_analytic():
     assert numeric.interior_max == pytest.approx(analytic.interior_max, rel=1e-4)
 
 
+@pytest.mark.parametrize("model, dt, c", [
+    (disclination(k=1.3, az=0.5 - 0.5j), None, None),
+    (PSI_MODELS[2], None, 1.0),
+    (disclination(), 1e-3, None),
+    (PSI_MODELS[0], 1e-3, 1.0),
+], ids=("potential", "scalar", "potential-dt", "scalar-dt"))
+def test_wave_residual_report_matches_fields(model, dt, c):
+    grid = GridSpec.centered((5.0, 4.0, 3.0), (19, 15, 11))
+    fields = wave_residual_fields(model, grid, 0.2, dt=dt, c=c)
+    assert list(fields) == (["Ax", "Ay", "Az", "Phi"] if hasattr(model, "components")
+                            else ["psi"])
+    region = interior_slices(grid.dims)
+    mags = np.concatenate([np.abs(a[region]).ravel() for a in fields.values()])
+    report = wave_residual(model, grid, 0.2, dt=dt, c=c)
+    assert report.interior_max == mags.max() > 0
+    assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags**2)), rel=1e-12)
+
+
 def test_interior_slices_shapes():
     assert interior_slices((9, 9, 9)) == (slice(2, 7),) * 3
     assert interior_slices((3, 9, 1)) == (slice(None), slice(2, 7), slice(None))
