@@ -125,14 +125,11 @@ def cmd_detect(args) -> int:
     from .fields import PotentialField
 
     started = time.perf_counter()
-    field = fieldio.load_field(args.field)
-    nz = field.grid.dims[2]
-    if not 0 <= args.slice < nz:
-        raise ValueError(f"slice {args.slice} out of range for {nz} slice(s)")
+    field = fieldio.load_field(args.field, z_slice=args.slice)
     if isinstance(field, PotentialField):
-        records = detect.find_disclinations(field, args.slice)
+        records = detect.find_disclinations(field, 0)
     else:
-        records = detect.find_dislocations(field, args.slice)
+        records = detect.find_dislocations(field, 0)
     report = {
         "field": str(args.field),
         "slice": args.slice,

@@ -3,7 +3,14 @@
 A field is stored as a JSON manifest next to a raw little-endian binary
 of float64 (re, im) pairs, one pair per component per node, nodes ordered
 with x varying fastest, components ordered Ax, Ay, Az, Phi for potential
-fields. The round trip is bit exact.
+fields. The manifest's ``data`` entry is the binary's path relative to the
+manifest's directory; it may contain ``..`` (``save_field`` writes one when
+the binary sits elsewhere) or be absolute. The round trip is bit exact.
+
+``load_field`` memory-maps the binary. It checks the size and the
+finiteness of the whole file, one z slab at a time, and then copies out
+either every slice or only the one z slice a caller asks for, so detecting
+on one slice does not decode the whole volume.
 """
 
 from __future__ import annotations
@@ -14,21 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ComplexScalarField, GridSpec, PotentialField
+from .fields import ComplexScalarField, GridSpec, PotentialField, _require_finite
 
 FORMAT_VERSION = 1
-
-
-def _pack(arr: np.ndarray) -> bytes:
-    # x fastest means z is slowest in file order
-    return np.ascontiguousarray(arr.transpose(2, 1, 0)).astype("<c16").tobytes()
-
-
-def _unpack(buf: bytes, offset_nodes: int, dims) -> np.ndarray:
-    nx, ny, nz = dims
-    n = nx * ny * nz
-    flat = np.frombuffer(buf, dtype="<c16", count=n, offset=offset_nodes * 16)
-    return flat.reshape(nz, ny, nx).transpose(2, 1, 0)
 
 
 def save_field(field, manifest_path, data_path=None):
@@ -39,13 +34,16 @@ def save_field(field, manifest_path, data_path=None):
     data_path = Path(data_path)
     if isinstance(field, PotentialField):
         kind = "potential"
-        blob = b"".join(_pack(a) for a in (field.ax, field.ay, field.az, field.phi))
+        arrays = (field.ax, field.ay, field.az, field.phi)
     elif isinstance(field, ComplexScalarField):
         kind = "scalar"
-        blob = _pack(field.values)
+        arrays = (field.values,)
     else:
         raise TypeError(f"cannot save {type(field).__name__}")
-    data_path.write_bytes(blob)
+    with open(data_path, "wb") as out:
+        for arr in arrays:
+            # x fastest means z is slowest in file order
+            np.ascontiguousarray(arr.transpose(2, 1, 0), dtype="<c16").tofile(out)
     manifest = {
         "version": FORMAT_VERSION,
         "kind": kind,
@@ -59,12 +57,18 @@ def save_field(field, manifest_path, data_path=None):
     return manifest_path, data_path
 
 
-def load_field(manifest_path):
-    """Read a manifest and its binary; returns the reconstructed field."""
+def load_field(manifest_path, z_slice=None):
+    """Read a manifest and its binary; returns the reconstructed field.
+
+    With ``z_slice`` = k the whole file is still checked, but only slice k
+    is copied: the result lives on the one-slice grid whose origin is node
+    (0, 0, k) of the file's grid, so positions found on it are those found
+    on slice k of the full field.
+    """
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"unreadable field manifest {manifest_path}: {exc}") from exc
     try:
         if manifest["version"] != FORMAT_VERSION:
@@ -76,19 +80,30 @@ def load_field(manifest_path):
                         tuple(manifest["origin"]))
         time = float(manifest["time"])
         data_path = manifest_path.parent / manifest["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed field manifest {manifest_path}: {exc}") from exc
+    names = ("ax", "ay", "az", "phi") if kind == "potential" else ("scalar",)
+    nx, ny, nz = grid.dims
+    expected = grid.node_count * len(names) * 16
     try:
-        buf = data_path.read_bytes()
+        size = data_path.stat().st_size
+        if size != expected:
+            raise ValueError(f"field data {data_path} has {size} bytes, expected {expected}")
+        data = np.memmap(data_path, dtype="<c16", mode="r", shape=(len(names), nz, ny, nx))
     except OSError as exc:
         raise ValueError(f"unreadable field data {data_path}: {exc}") from exc
-    n = grid.node_count
-    n_components = 4 if kind == "potential" else 1
-    if len(buf) != n * n_components * 16:
-        raise ValueError(
-            f"field data {data_path} has {len(buf)} bytes, expected {n * n_components * 16}"
-        )
+    # a node is finite when its re and im parts both are
+    for name, component, parts in zip(names, data, data.view("<f8")):
+        if not all(np.isfinite(slab).all() for slab in parts):
+            # reports the first non-finite node in (i, j, k) order
+            _require_finite(component.transpose(2, 1, 0), f"{name} value")
+    if z_slice is not None:
+        if not 0 <= z_slice < nz:
+            raise ValueError(f"slice {z_slice} out of range for {nz} slice(s)")
+        ox, oy, oz = grid.origin
+        grid = GridSpec((nx, ny, 1), grid.spacing, (ox, oy, oz + z_slice * grid.spacing[2]))
+        data = data[:, z_slice:z_slice + 1]
+    components = [np.array(c).transpose(2, 1, 0) for c in data]
     if kind == "scalar":
-        return ComplexScalarField(grid, time, _unpack(buf, 0, grid.dims))
-    comps = [_unpack(buf, i * n, grid.dims) for i in range(4)]
-    return PotentialField(grid, time, *comps)
+        return ComplexScalarField(grid, time, components[0])
+    return PotentialField(grid, time, *components)

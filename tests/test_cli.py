@@ -100,6 +100,19 @@ def test_detect_rejects_corrupt_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert main(["detect", "--field", str(bad)]) == EXIT_USAGE
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["detect", "--field", str(bad)]) == EXIT_USAGE
+
+
+def test_detect_rejects_overflowing_manifest_values(tmp_path, capsys):
+    field_path = tmp_path / "field.json"
+    main(["generate", "--model", DISLOCATION, "--dims", "8,8,1", "--out", str(field_path)])
+    valid = json.loads(field_path.read_text())
+    huge = 10 ** 400
+    for changes in ({"time": huge}, {"origin": [0.0, huge, 0.0]}, {"dims": [8, 8, math.inf]}):
+        field_path.write_text(json.dumps({**valid, **changes}))
+        assert main(["detect", "--field", str(field_path)]) == EXIT_USAGE
+        assert "malformed field manifest" in capsys.readouterr().err
 
 
 def test_verify_on_shell_all_pass(tmp_path):

@@ -1,0 +1,194 @@
+"""Field files: slice reads, the on-disk encoding, and fuzzed manifests."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from defectfield import (
+    ComplexScalarField,
+    DisclinationModel,
+    DislocationModel,
+    GridSpec,
+    PotentialField,
+    SamplingError,
+    WaveParams,
+    find_disclinations,
+    find_dislocations,
+    load_field,
+    sample_potential,
+    sample_scalar,
+    save_field,
+)
+from defectfield.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(deadline=None, database=None, max_examples=60)
+
+GRIDS = ((9, 9, 5), (8, 8, 4))
+
+
+def _sampled(kind, dims):
+    grid = GridSpec.centered((4.0, 4.0, 2.0), dims)
+    if kind == "potential":
+        return sample_potential(DisclinationModel(WaveParams.with_dispersion(k=1.3)), grid, 0.2)
+    return sample_scalar(DislocationModel(n=-2, k=1.1, omega=1.1), grid, 0.2)
+
+
+def _arrays(field):
+    if isinstance(field, PotentialField):
+        return [field.ax, field.ay, field.az, field.phi]
+    return [field.values]
+
+
+def _find(field, k):
+    if isinstance(field, PotentialField):
+        return find_disclinations(field, k)
+    return find_dislocations(field, k)
+
+
+@pytest.mark.parametrize("dims", GRIDS)
+@pytest.mark.parametrize("kind", ["scalar", "potential"])
+def test_slice_read_equals_full_read(tmp_path, kind, dims):
+    manifest, _ = save_field(_sampled(kind, dims), tmp_path / "f.json")
+    full = load_field(manifest)
+    for k in range(dims[2]):
+        part = load_field(manifest, z_slice=k)
+        assert type(part) is type(full) and part.time == full.time
+        assert part.grid.dims == (dims[0], dims[1], 1)
+        assert part.grid.spacing == full.grid.spacing
+        assert part.grid.node_position(0, 0, 0) == full.grid.node_position(0, 0, k)
+        for a, b in zip(_arrays(part), _arrays(full)):
+            assert a[:, :, 0].tobytes() == b[:, :, k].tobytes()
+        records = _find(part, 0)
+        assert records and records == _find(full, k)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "potential"])
+def test_save_field_bytes_match_reference_encoding(tmp_path, kind):
+    field = _sampled(kind, (9, 8, 5))
+    _, data = save_field(field, tmp_path / "f.json")
+    reference = b"".join(np.ascontiguousarray(a.transpose(2, 1, 0)).astype("<c16").tobytes()
+                         for a in _arrays(field))
+    assert data.read_bytes() == reference
+
+
+def test_data_path_may_leave_the_manifest_directory(tmp_path):
+    (tmp_path / "meta").mkdir()
+    (tmp_path / "blobs").mkdir()
+    field = _sampled("scalar", (8, 8, 4))
+    manifest, _ = save_field(field, tmp_path / "meta" / "f.json", tmp_path / "blobs" / "f.bin")
+    assert json.loads(manifest.read_text())["data"] == "../blobs/f.bin"
+    assert np.array_equal(load_field(manifest).values, field.values)
+
+
+def test_load_field_checks_the_whole_file(tmp_path):
+    manifest, data = save_field(_sampled("potential", (8, 8, 4)), tmp_path / "f.json")
+    raw = bytearray(data.read_bytes())
+    # az (component 2) at node (i, j, k) = (5, 1, 3); file order is x fastest
+    offset = ((2 * 4 + 3) * 8 * 8 + 1 * 8 + 5) * 16
+    raw[offset:offset + 8] = np.array([np.inf]).tobytes()
+    data.write_bytes(bytes(raw))
+    for z_slice in (None, 0, 3):
+        with pytest.raises(SamplingError, match=r"non-finite az value at node \(5, 1, 3\)"):
+            load_field(manifest, z_slice=z_slice)
+    data.write_bytes(bytes(raw[:-16]))
+    with pytest.raises(ValueError, match="has 16368 bytes, expected 16384"):
+        load_field(manifest, z_slice=1)
+    save_field(_sampled("potential", (8, 8, 4)), manifest)
+    for z_slice in (-1, 4):
+        with pytest.raises(ValueError, match=f"slice {z_slice} out of range for 4 slice"):
+            load_field(manifest, z_slice=z_slice)
+
+
+# --- fuzzed manifests through `detect` -------------------------------------
+
+DIMS = (4, 3, 3)
+KEYS = ("version", "kind", "dims", "spacing", "origin", "time", "data")
+
+# integers past the float range included: they overflow float() and GridSpec
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 1024, 2 ** 1100)
+    | st.floats() | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _detect(tmp, manifest_changes=None, data=None, z_slice=0):
+    """Write a valid scalar field, apply the changes, run `detect`; returns its exit code."""
+    values = np.full(DIMS, 1.0 + 0.5j)
+    manifest, data_path = save_field(
+        ComplexScalarField(GridSpec(DIMS, (1.0, 1.0, 1.0)), 0.0, values), Path(tmp) / "f.json")
+    if manifest_changes is not None:
+        content = json.loads(manifest.read_text())
+        content.update(manifest_changes)
+        manifest.write_text(json.dumps(content))
+    if data is not None:
+        data_path.write_bytes(data)
+    return main(["detect", "--field", str(manifest), "--slice", str(z_slice)])
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from(KEYS), JSON_VALUES)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_arbitrary_manifest_values_never_crash_detect(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _detect(tmp, {key: value})
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
+    if key == "version" and value != 1:
+        assert code == EXIT_USAGE
+    if key == "kind" and value != "scalar":
+        assert code == EXIT_USAGE
+
+
+NON_INTEGRAL = st.floats(allow_nan=True, allow_infinity=True).filter(
+    lambda v: not math.isfinite(v) or v != int(v))
+BAD_DIMS = st.one_of(
+    st.lists(st.integers(min_value=10 ** 4, max_value=10 ** 30), min_size=3, max_size=3),
+    st.tuples(st.just(4), st.just(3), NON_INTEGRAL).map(list),
+    st.lists(st.integers(max_value=0), min_size=3, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=5), max_size=5).filter(lambda d: len(d) != 3),
+)
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(
+    st.fixed_dictionaries({"version": st.integers().filter(lambda v: v != 1)}),
+    st.fixed_dictionaries({"kind": st.text(max_size=10).filter(lambda v: v != "scalar")}),
+    st.fixed_dictionaries({"dims": BAD_DIMS}),
+    st.fixed_dictionaries({"data": st.sampled_from(["missing.bin", "../missing.bin", "."])}),
+))
+def test_invalid_manifests_exit_usage(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _detect(tmp, changes) == EXIT_USAGE
+
+
+@SETTINGS
+@hypothesis.given(st.integers(min_value=-math.prod(DIMS) * 16, max_value=64).filter(bool))
+def test_truncated_or_overlong_data_exits_usage(delta):
+    size = math.prod(DIMS) * 16 + delta
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _detect(tmp, data=bytes(size)) == EXIT_USAGE
+
+
+@SETTINGS
+@hypothesis.given(
+    st.tuples(*(st.integers(0, n - 1) for n in DIMS)),
+    st.integers(0, 1),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(0, DIMS[2] - 1),
+)
+def test_non_finite_value_outside_the_slice_exits_usage(node, part, bad, z_slice):
+    i, j, k = node
+    hypothesis.assume(k != z_slice)
+    values = np.full(DIMS, 1.0 + 0.5j).transpose(2, 1, 0).copy()
+    values.view(np.float64).reshape(DIMS[2], DIMS[1], DIMS[0], 2)[k, j, i, part] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _detect(tmp, data=values.astype("<c16").tobytes(), z_slice=z_slice) == EXIT_USAGE
