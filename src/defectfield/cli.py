@@ -69,7 +69,7 @@ def _load_descriptor(spec: str) -> dict:
         text = spec
     try:
         descriptor = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"model descriptor is not valid JSON: {exc}") from exc
     if not isinstance(descriptor, dict):
         raise ValueError("model descriptor must be a JSON object")
@@ -338,6 +338,8 @@ def _rows_from_input(path: Path) -> list[dict]:
     text = path.read_text()
     if path.suffix == ".csv":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError(f"{path.name}: CSV input has no header line")
         header = lines[0].split(",")
         rows = []
         for ln in lines[1:]:
@@ -347,9 +349,14 @@ def _rows_from_input(path: Path) -> list[dict]:
                          "value": row.get("value", ""),
                          "passed": row.get("passed", "true") == "true"})
         return rows
-    report = json.loads(text)
-    n = len(report.get("defects", []))
-    return [{"source": path.name, "check": "defect_count", "value": str(n),
+    try:
+        report = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path.name}: JSON input is not valid JSON: {exc}") from exc
+    defects = report.get("defects", []) if isinstance(report, dict) else None
+    if not isinstance(defects, list):
+        raise ValueError(f"{path.name}: JSON input must be an object with a 'defects' list")
+    return [{"source": path.name, "check": "defect_count", "value": str(len(defects)),
              "passed": True}]
 
 
@@ -373,7 +380,7 @@ def cmd_report(args) -> int:
             lines.append(f"{r['source']},{r['check']},{r['value']},{str(r['passed']).lower()}")
         text = "\n".join(lines) + "\n"
     else:
-        width = max(len(r["check"]) for r in rows)
+        width = max((len(r["check"]) for r in rows), default=0)
         lines = ["| source | check | value | passed |", "|---|---|---|---|"]
         for r in rows:
             lines.append(f"| {r['source']} | {r['check']:<{width}} | {r['value']} "

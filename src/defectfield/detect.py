@@ -7,7 +7,10 @@ around closed loops or grid plaquettes, so results are exact integers by
 construction. Pattern-alignment fits measure the rigid rotation rate of
 the transverse azimuth pattern in time and its twist rate along the
 propagation axis, and the rotation per period yields the time-defect
-(tifold) index.
+(tifold) index. Each substep of a fit is closed form: a rigid rotation by
+alpha multiplies the Fourier coefficient c_n of exp(i*beta(theta)) by
+exp(i*(1-n)*alpha), so the dominant mode n != 1 gives |1-n| candidate
+angles, and one evaluation of the alignment mismatch picks among them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from scipy.interpolate import RegularGridInterpolator
 from .fields import ComplexScalarField, GridSpec, PotentialField
 
 DEFAULT_TOL_AMP = 1e-9
-ALIGN_GRID = 4096
-ALIGN_REFINE_TOL = 1e-12
 FIT_RESIDUAL_TOL = 1e-6
 STEP_TARGET = math.pi / 4  # per-substep alignment angle kept well inside (-pi/2, pi/2)
 
@@ -292,50 +293,36 @@ def _alignment_objective(model, thetas, beta_target, z_ref, t_ref, alphas):
     return np.mean(d * d, axis=1)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = ALIGN_REFINE_TOL):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    mid = (a + b) / 2.0
-    return mid, f(mid)
-
-
 def _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref):
     """Best rigid-rotation angle mapping the reference pattern onto the target.
 
-    The objective is scanned on a dense grid over [0, 2*pi) and refined by
-    golden section. Patterns with an exact half-turn symmetry have two
-    global minimizers a half turn apart; the candidate closest to zero is
-    returned, which is unambiguous while per-step angles stay inside
-    (-pi/2, pi/2).
+    Rotating a pattern by alpha multiplies the Fourier coefficient c_n of
+    exp(i*beta(theta)) by exp(i*(1-n)*alpha), so the phase ratio of the
+    dominant mode n != 1 of the two patterns fixes alpha up to the |1-n|
+    candidates (arg(c'_n/c_n) + 2*pi*m)/(1-n). Each candidate is scored by
+    the mismatch of the rotated reference; the least residual wins, and
+    ties (a pattern with an exact |1-n|-fold symmetry) go to the candidate
+    closest to zero, which is unambiguous while per-step angles stay inside
+    (-pi/|1-n|, pi/|1-n|). The n = 1 mode alone is invariant under
+    rotation, so a pattern with no other mode above FIT_RESIDUAL_TOL raises
+    RigidRotationFitError: its angle is unobservable.
     """
-    alphas = np.linspace(0.0, TWO_PI, ALIGN_GRID, endpoint=False)
-    big = _alignment_objective(model, thetas, beta_target, z_ref, t_ref, alphas)
-    i = int(np.argmin(big))
-    step = TWO_PI / ALIGN_GRID
-
-    def f(al: float) -> float:
-        return float(_alignment_objective(
-            model, thetas, beta_target, z_ref, t_ref, np.array([al]))[0])
-
-    alpha_hat, g_hat = _golden_min(f, alphas[i] - step, alphas[i] + step)
-    cand = float(wrap_angle(alpha_hat))
-    alt = float(wrap_angle(alpha_hat - math.pi))
-    g_alt = f(alt)
-    if g_alt <= g_hat + 1e-12 and abs(alt) < abs(cand):
-        return alt, math.sqrt(g_alt)
-    return cand, math.sqrt(g_hat)
+    n_theta = len(thetas)
+    c_ref = np.fft.fft(np.exp(1j * _circle_azimuths(model, thetas, z_ref, t_ref)))
+    c_tgt = np.fft.fft(np.exp(1j * beta_target))
+    modes = np.rint(np.fft.fftfreq(n_theta) * n_theta).astype(int)
+    weight = np.where(modes == 1, 0.0, np.abs(c_ref)) / n_theta
+    i = int(np.argmax(weight))
+    if weight[i] <= FIT_RESIDUAL_TOL:
+        raise RigidRotationFitError(
+            "pattern has only the n = 1 mode; its rotation is unobservable")
+    turns = 1 - int(modes[i])
+    phase = float(np.angle(c_tgt[i] * np.conj(c_ref[i])))
+    alphas = wrap_angle((phase + TWO_PI * np.arange(abs(turns))) / turns)
+    g = _alignment_objective(model, thetas, beta_target, z_ref, t_ref, alphas)
+    tied = np.flatnonzero(g <= g.min() + 1e-12)
+    best = tied[np.argmin(np.abs(alphas[tied]))]
+    return float(alphas[best]), math.sqrt(float(g[best]))
 
 
 def _accumulate_rotation(model, stations, betas_at, refs_at, n_theta):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -64,8 +65,6 @@ class CubicalComplex:
             if face_mask.shape != (nx - 1, ny - 1):
                 raise ValueError("face_mask must have shape (nx-1, ny-1)")
         self.face_mask = face_mask
-        self._d0 = None
-        self._d1 = None
 
     @classmethod
     def from_grid(cls, grid) -> "CubicalComplex":
@@ -102,51 +101,52 @@ class CubicalComplex:
             return np.ones(self.n_faces, dtype=bool)
         return self.face_mask.T.ravel()
 
-    @property
+    @cached_property
     def d0(self) -> sparse.csr_matrix:
         """Edge-by-vertex incidence: row e has -1 at its tail, +1 at its head."""
-        if self._d0 is None:
-            nx, ny = self.nx, self.ny
-            i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
-            xe = self.xedge_index(i.ravel(), j.ravel())
-            xt = self.vertex_index(i.ravel(), j.ravel())
-            xh = self.vertex_index(i.ravel() + 1, j.ravel())
-            i, j = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
-            ye = self.yedge_index(i.ravel(), j.ravel())
-            yt = self.vertex_index(i.ravel(), j.ravel())
-            yh = self.vertex_index(i.ravel(), j.ravel() + 1)
-            rows = np.concatenate([xe, xe, ye, ye])
-            cols = np.concatenate([xt, xh, yt, yh])
-            data = np.concatenate([
-                -np.ones_like(xe), np.ones_like(xe),
-                -np.ones_like(ye), np.ones_like(ye),
-            ])
-            self._d0 = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(self.n_edges, self.n_vertices), dtype=np.int64
-            )
-        return self._d0
+        nx, ny = self.nx, self.ny
+        i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
+        xe = self.xedge_index(i.ravel(), j.ravel())
+        xt = self.vertex_index(i.ravel(), j.ravel())
+        xh = self.vertex_index(i.ravel() + 1, j.ravel())
+        i, j = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
+        ye = self.yedge_index(i.ravel(), j.ravel())
+        yt = self.vertex_index(i.ravel(), j.ravel())
+        yh = self.vertex_index(i.ravel(), j.ravel() + 1)
+        rows = np.concatenate([xe, xe, ye, ye])
+        cols = np.concatenate([xt, xh, yt, yh])
+        data = np.concatenate([
+            -np.ones_like(xe), np.ones_like(xe),
+            -np.ones_like(ye), np.ones_like(ye),
+        ])
+        return sparse.csr_matrix(
+            (data, (rows, cols)), shape=(self.n_edges, self.n_vertices), dtype=np.int64
+        )
 
-    @property
+    @cached_property
     def d1(self) -> sparse.csr_matrix:
         """Face-by-edge incidence for the counterclockwise face boundary."""
-        if self._d1 is None:
-            nx, ny = self.nx, self.ny
-            i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
-            i = i.ravel()
-            j = j.ravel()
-            f = self.face_index(i, j)
-            bottom = self.xedge_index(i, j)
-            right = self.yedge_index(i + 1, j)
-            top = self.xedge_index(i, j + 1)
-            left = self.yedge_index(i, j)
-            rows = np.concatenate([f, f, f, f])
-            cols = np.concatenate([bottom, right, top, left])
-            ones = np.ones_like(f)
-            data = np.concatenate([ones, ones, -ones, -ones])
-            self._d1 = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(self.n_faces, self.n_edges), dtype=np.int64
-            )
-        return self._d1
+        nx, ny = self.nx, self.ny
+        i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+        i = i.ravel()
+        j = j.ravel()
+        f = self.face_index(i, j)
+        bottom = self.xedge_index(i, j)
+        right = self.yedge_index(i + 1, j)
+        top = self.xedge_index(i, j + 1)
+        left = self.yedge_index(i, j)
+        rows = np.concatenate([f, f, f, f])
+        cols = np.concatenate([bottom, right, top, left])
+        ones = np.ones_like(f)
+        data = np.concatenate([ones, ones, -ones, -ones])
+        return sparse.csr_matrix(
+            (data, (rows, cols)), shape=(self.n_faces, self.n_edges), dtype=np.int64
+        )
+
+    @cached_property
+    def boundary_matrices(self) -> dict:
+        """The transposes d0.T and d1.T, keyed by the degree of the chains they act on."""
+        return {1: self.d0.T.tocsr(), 2: self.d1.T.tocsr()}
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,12 @@ def boundary(chain: Chain) -> Chain:
     """Oriented boundary; a face maps to its counterclockwise 4-edge loop."""
     if chain.degree == 0:
         raise DegreeError("0-chains have no boundary")
-    mat = chain.cx.d0 if chain.degree == 1 else chain.cx.d1
-    out: dict[int, int] = {}
-    for cell, coef in chain.coeffs.items():
-        row = mat.getrow(cell)
-        for lower, inc in zip(row.indices, row.data):
-            out[int(lower)] = out.get(int(lower), 0) + coef * int(inc)
-    return Chain(chain.cx, chain.degree - 1, out)
+    mat = chain.cx.boundary_matrices[chain.degree]
+    coefs = np.zeros(mat.shape[1], dtype=np.int64)
+    coefs[list(chain.coeffs)] = list(chain.coeffs.values())
+    lower = mat @ coefs
+    cells = np.flatnonzero(lower)
+    return Chain(chain.cx, chain.degree - 1, dict(zip(cells.tolist(), lower[cells].tolist())))
 
 
 def coboundary(form: DiscreteForm) -> DiscreteForm:
@@ -236,7 +235,8 @@ def evaluate(form: DiscreteForm, chain: Chain) -> float:
         raise DegreeError(f"degree mismatch: form {form.degree}, chain {chain.degree}")
     if form.cx is not chain.cx:
         raise ValueError("form and chain live on different complexes")
-    return float(sum(form.values[cell] * coef for cell, coef in chain.coeffs.items()))
+    coefs = np.array(list(chain.coeffs.values()), dtype=float)
+    return float(form.values[list(chain.coeffs)] @ coefs)
 
 
 def stokes_residual(form: DiscreteForm, chain: Chain) -> float:
@@ -258,18 +258,7 @@ def winding_one_form(cx: CubicalComplex, center=(0.0, 0.0)) -> DiscreteForm:
     """
     X, Y = cx.vertex_coords()
     theta = np.arctan2(Y - center[1], X - center[0])
-    vals = np.empty(cx.n_edges)
-    i, j = np.meshgrid(np.arange(cx.nx - 1), np.arange(cx.ny), indexing="ij")
-    tails = cx.vertex_index(i.ravel(), j.ravel())
-    heads = cx.vertex_index(i.ravel() + 1, j.ravel())
-    diffs = theta[heads] - theta[tails]
-    vals[cx.xedge_index(i.ravel(), j.ravel())] = np.mod(diffs + math.pi, TWO_PI) - math.pi
-    i, j = np.meshgrid(np.arange(cx.nx), np.arange(cx.ny - 1), indexing="ij")
-    tails = cx.vertex_index(i.ravel(), j.ravel())
-    heads = cx.vertex_index(i.ravel(), j.ravel() + 1)
-    diffs = theta[heads] - theta[tails]
-    vals[cx.yedge_index(i.ravel(), j.ravel())] = np.mod(diffs + math.pi, TWO_PI) - math.pi
-    return DiscreteForm(cx, 1, vals)
+    return DiscreteForm(cx, 1, np.mod(cx.d0 @ theta + math.pi, TWO_PI) - math.pi)
 
 
 def annulus_complex(nx: int, ny: int, hole, spacing=(1.0, 1.0),

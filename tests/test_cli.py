@@ -245,6 +245,47 @@ def test_report_mixed_pass_fail_exits_one(tmp_path):
     assert "false" in out.read_text()
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_report_rejects_malformed_inputs(tmp_path, capsys):
+    cases = {
+        "deep.json": DEEP_JSON,
+        "array.json": "[1, 2]",
+        "count.json": '{"defects": 5}',
+        "broken.json": "{]",
+        "empty.csv": "",
+        "blank.csv": "\n  \n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["report", "--inputs", str(path)]) == EXIT_USAGE, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+
+def test_report_header_only_csv_gives_empty_table(tmp_path, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text("check,value,expected,tolerance,passed,orders\n")
+    assert main(["report", "--inputs", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["| source | check | value | passed |",
+                                                    "|---|---|---|---|"]
+
+
+def test_deeply_nested_descriptor_file_exits_usage(tmp_path, capsys):
+    desc = tmp_path / "deep.json"
+    desc.write_text(DEEP_JSON)
+    out = tmp_path / "field.json"
+    assert main(["generate", "--model", str(desc), "--dims", "8,8,1",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "model descriptor is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "--model", str(desc), "--dims", "9",
+                 "--refinements", "1"]) == EXIT_USAGE
+    assert "model descriptor is not valid JSON" in capsys.readouterr().err
+
+
 def test_generate_rejects_bad_descriptor(tmp_path):
     descriptor = json.dumps({"model": "disclination", "k": 1.0, "az": [1]})
     code = main(["generate", "--model", descriptor, "--dims", "8,8,1",

@@ -22,7 +22,13 @@ from defectfield import (
     sample_scalar,
     tifold_index,
 )
-from defectfield.detect import AmbiguousStepError, NearZeroOnLoopError
+from defectfield.detect import (
+    AmbiguousStepError,
+    NearZeroOnLoopError,
+    RigidRotationFitError,
+    _circle_azimuths,
+    _fit_rotation_step,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -286,3 +292,68 @@ def test_tifold_non_rational_reports_raw_value():
     with pytest.raises(NonRationalIndexError) as err:
         tifold_index(model)
     assert err.value.raw == pytest.approx(0.37, abs=1e-6)
+
+
+def azimuth_model(beta):
+    """Model whose real transverse vector has unit length and azimuth beta(theta, t)."""
+
+    class Pattern(DisclinationModel):
+        def components(self, x, y, z, t):
+            b = beta(np.arctan2(y, x), t)
+            ax = np.cos(b).astype(complex)
+            return (ax, np.sin(b).astype(complex), 0.0 * ax, 0.0 * ax)
+
+    return Pattern(WaveParams.with_dispersion(k=1.0))
+
+
+def rotating(shape, alpha_of_t):
+    """The pattern shape(theta) rigidly rotated by alpha_of_t(t)."""
+    return lambda theta, t: shape(theta - alpha_of_t(t)) + alpha_of_t(t)
+
+
+def test_rotation_of_radial_pattern_is_unobservable():
+    # beta = theta + const has only the n = 1 mode: every rotation aligns it
+    model = azimuth_model(lambda theta, t: theta + 0.3 + 0.0 * t)
+    with pytest.raises(RigidRotationFitError, match="unobservable"):
+        pattern_rotation_rate(model, 0.0, 1.0)
+    with pytest.raises(RigidRotationFitError, match="unobservable"):
+        axial_twist_per_length(model, 0.0, 1.0, 0.0)
+
+
+def test_non_rigid_pattern_raises():
+    # the n = -1 carrier and its modulation rotate at different rates
+    model = azimuth_model(lambda theta, t: -theta + t + 0.3 * np.sin(theta - 3.0 * t))
+    with pytest.raises(RigidRotationFitError, match="residual"):
+        pattern_rotation_rate(model, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [-2, -3])
+def test_fit_recovers_step_angle_for_higher_modes(n):
+    """Dominant mode n gives |1 - n| candidates; the fit must pick the right one."""
+    thetas = TWO_PI * np.arange(64) / 64
+
+    def step(shape, alpha):
+        model = azimuth_model(rotating(shape, lambda t: alpha * t))
+        target = _circle_azimuths(model, thetas, 0.0, 1.0)
+        return _fit_rotation_step(model, thetas, target, 0.0, 0.0)
+
+    # a pure mode is (1 - n)-fold symmetric: the candidate closest to zero wins
+    inside = 0.9 * math.pi / (1 - n)
+    for alpha in (inside, -inside, 0.1, 0.0):
+        fitted, residual = step(lambda th: n * th, alpha)
+        assert abs(fitted - alpha) <= 1e-12
+        assert residual <= 1e-12
+    # a side band breaks the symmetry: the residual picks the true angle anywhere
+    for alpha in (2.0, -2.5, 3.0, inside):
+        fitted, residual = step(lambda th: n * th + 0.3 * np.sin(th), alpha)
+        assert abs(fitted - alpha) <= 1e-12
+        assert residual <= 1e-12
+
+
+def test_rotation_rate_of_threefold_pattern():
+    # a pure n = -2 pattern turning at omega/2: substeps of a quarter turn stay
+    # inside the +-pi/3 window of its three candidates
+    omega = WaveParams.with_dispersion(k=1.0).omega
+    model = azimuth_model(rotating(lambda th: -2.0 * th, lambda t: 0.5 * omega * t))
+    rate = pattern_rotation_rate(model, 0.0, TWO_PI / omega)
+    assert rate / omega == pytest.approx(0.5, abs=1e-12)
