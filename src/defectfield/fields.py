@@ -125,11 +125,12 @@ class SpaceTimePoint:
         return math.pi if th == -math.pi else th
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
+def _require_finite(values: np.ndarray, what: str, x0: int = 0) -> None:
+    """Raise SamplingError at the first non-finite node; x0 offsets the x index."""
     finite = np.isfinite(values)
     if not finite.all():
-        node = tuple(int(v) for v in np.argwhere(~finite)[0])
-        raise SamplingError(f"non-finite {what} at node {node}")
+        i, j, k = (int(v) for v in np.argwhere(~finite)[0])
+        raise SamplingError(f"non-finite {what} at node {(i + x0, j, k)}")
 
 
 @dataclass(frozen=True)
@@ -264,11 +265,19 @@ def curl(field: PotentialField):
 
 
 def _add_second_difference(out: np.ndarray, f: np.ndarray, grid: GridSpec, a: int) -> None:
-    """Add the second difference of f along axis a to out, in place."""
+    """Add the second difference of f along axis a to out, in place.
+
+    The stencil spans f's own extent along a, which may be a window of the
+    grid's axis: nodes inside the window are exact, and a window ending at
+    the grid's edge needs four nodes there (or the whole axis). An axis
+    along which f is broadcast (length 1) adds nothing, as a constant's
+    second difference is exactly zero.
+    """
     n = grid.dims[a]
     if n < 2:
         raise ValueError(f"axis {a!r} has {n} node(s); need at least 2 to differentiate")
-    if n == 2:
+    m = f.shape[a]
+    if m <= 2:
         return
     scale = 1.0 / grid.spacing[a] ** 2
     mid = _take(f, slice(1, -1), a)
@@ -279,7 +288,7 @@ def _add_second_difference(out: np.ndarray, f: np.ndarray, grid: GridSpec, a: in
     view = _take(out, slice(1, -1), a)
     view += inner
     for end, idx in ((0, (0, 1, 2, 3)), (-1, (-1, -2, -3, -4))):
-        if n == 3:
+        if m == 3:
             value = _take(inner, 0, a)
         else:
             # written as differences so constant fields cancel exactly

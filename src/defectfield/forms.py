@@ -149,6 +149,17 @@ class CubicalComplex:
         return {1: self.d0.T.tocsr(), 2: self.d1.T.tocsr()}
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; ValueError unless it is a finite whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class Chain:
     """Integer-weighted formal sum of p-cells of one complex."""
@@ -163,12 +174,12 @@ class Chain:
         n = self.cx.n_cells(self.degree)
         clean = {}
         for cell, coef in self.coeffs.items():
-            if coef != int(coef):
-                raise ValueError("chain coefficients must be integers")
+            cell = _integer(cell, "cell index")
+            coef = _integer(coef, "chain coefficient")
             if not 0 <= cell < n:
                 raise ValueError(f"cell index {cell} out of range for degree {self.degree}")
             if coef != 0:
-                clean[int(cell)] = int(coef)
+                clean[cell] = coef
         object.__setattr__(self, "coeffs", clean)
 
     def __add__(self, other: "Chain") -> "Chain":

@@ -1,37 +1,50 @@
 """Residual checks: derived E and B fields, gauge condition, wave operator.
 
-Every check samples a model onto a grid, applies the finite-difference
-operators, and reports interior statistics (nodes at least two cells from
+Every check applies the finite-difference operators to a model sampled on
+a grid and reports interior statistics (nodes at least two cells from
 every boundary, so one-sided boundary stencils never pollute convergence
 orders). Time derivatives come from ``fields.time_derivatives``: the
 closed form from the model's ``omega`` by default, a central difference
 when a time step is given. Refinement studies report the observed order
 log2(residual(h) / residual(h/2)).
+
+The wave operator never holds a sampled grid: ``wave_residual_fields``
+walks x in slabs of SLAB_PLANES planes, evaluates the model on each slab's
+rows of the open grid plus a one-plane halo, and keeps each component in
+the model's own broadcast shape, so an axis a component does not vary
+along costs no stencil. Its values equal the whole-grid
+``fields.laplacian`` bit for bit. Each slab's residual either fills a
+grid-sized array or goes to ``reduce(residual, x_slice)``, which
+``wave_residual`` uses to fold the interior max and rms as it goes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .fields import (
+    POTENTIAL_COMPONENTS,
     ComplexScalarField,
     GridSpec,
     PotentialField,
     UnsupportedModelError,
+    _add_second_difference,
     _diff_array,
+    _require_finite,
     curl,
     harmonic_factor,
-    laplacian,
-    sample_potential,
-    sample_scalar,
     time_derivatives,
 )
 
 MATCHED = "matched"
 ANALYTIC = "analytic"
+
+# x planes per slab of the wave residual; 8 to 16 measured best at 129^3
+SLAB_PLANES = 8
 
 
 @dataclass(frozen=True)
@@ -120,9 +133,11 @@ def lorentz_residual(field: PotentialField, model, time_step=MATCHED) -> Residua
     ``time_step`` chooses the Phi time derivative: "matched" (default)
     uses a central difference with the grid-matched step, "analytic" the
     model's closed form, and a float a central difference with that step.
+    Either way Phi goes through ``time_derivatives`` as a scalar model of
+    its own, so Ax, Ay and Az are dropped as soon as the model returns them.
     """
     g = field.grid
-    div = (
+    residual = (
         _diff_array(field.ax, g, 0)
         + _diff_array(field.ay, g, 1)
         + _diff_array(field.az, g, 2)
@@ -131,10 +146,13 @@ def lorentz_residual(field: PotentialField, model, time_step=MATCHED) -> Residua
         dt = _matched_dt(field, model)
     elif time_step == ANALYTIC:
         dt = None
+        harmonic_factor(model, 1)  # a model without omega is named in the error
     else:
         dt = float(time_step)
-    dphi = time_derivatives(model, *g.open_grid(), field.time, dt=dt)[3]
-    residual = div + np.asarray(dphi, dtype=np.complex128) / model.c
+    phi = SimpleNamespace(omega=getattr(model, "omega", None),
+                          value=lambda x, y, z, t: model.components(x, y, z, t)[3])
+    dphi = time_derivatives(phi, *g.open_grid(), field.time, dt=dt)[0]
+    residual += np.asarray(dphi, dtype=np.complex128) / model.c
     return _report("lorentz", g, [residual])
 
 
@@ -145,16 +163,46 @@ def transverse_divergence(field: PotentialField) -> ResidualReport:
     return _report("transverse_divergence", g, [residual])
 
 
+def _slabs(nx: int):
+    """(i0, i1, h0, h1) per slab: its own x planes [i0, i1) and the window
+    [h0, h1) it evaluates, one halo plane each side, widened to at least
+    four planes (or the whole axis) so the one-sided edge stencils see f0..f3.
+    """
+    for i0 in range(0, nx, SLAB_PLANES):
+        i1 = min(i0 + SLAB_PLANES, nx)
+        h1 = min(i1 + 1, nx)
+        yield i0, i1, max(min(i0 - 1, h1 - 4), 0), h1
+
+
+def _component(values, shape) -> np.ndarray:
+    """A model output as complex128 in its own broadcast shape, padded to 3-D."""
+    arr = np.asarray(values, dtype=np.complex128)
+    np.broadcast_to(arr, shape)  # raises ValueError when it does not fit the grid
+    return arr.reshape((1,) * (3 - arr.ndim) + arr.shape)
+
+
 def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
-                         reduce=None) -> dict:
+                         reduce=None) -> dict | None:
     """Per-component arrays of laplacian(f) - (1/c^2) d2f/dt2 on the grid.
 
-    The spatial part differentiates the sampled component. The temporal
-    part is the sampled component times the closed-form factor of
-    ``time_derivatives``, or a 3-point central difference of the model
-    when dt is given. Components are done one at a time. ``reduce``, when
-    given, maps each residual array as soon as it is computed and the dict
-    holds what it returns, so no two residual arrays are alive at once.
+    One walk over x slabs of SLAB_PLANES planes: each slab evaluates the
+    model on its rows of the open grid plus a halo plane each side, checks
+    the planes no earlier slab checked for finiteness, applies the second
+    difference of ``fields.laplacian`` per axis (x, y, z), subtracts the
+    closed-form time term ``harmonic_factor(2)/c^2 * f`` (or, when dt is
+    given, a 3-point central difference of the model on the slab's own
+    planes) and keeps only its own planes. Each component stays in the
+    model's broadcast shape, so an axis it does not vary along costs
+    nothing. The values equal the whole-grid ``laplacian`` bit for bit.
+
+    Without ``reduce`` the slabs fill one grid-sized array per component,
+    returned by name. With ``reduce``, nothing is stored and None is
+    returned: each slab's residual of each component goes to
+    ``reduce(residual, x_slice)``, where x_slice holds the slab's x planes
+    and the residual has the component's broadcast shape over them (length
+    1 along any axis it does not vary along, x included). The residual is a
+    view of a buffer that the next call overwrites, so ``reduce`` copies
+    whatever it keeps.
     """
     if c is None:
         c = getattr(model, "c", None)
@@ -162,34 +210,79 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
             raise UnsupportedModelError("model has no wave speed; pass c explicitly")
     if dt is None:
         coef = harmonic_factor(model, 2) / c ** 2
+    X, Y, Z = grid.open_grid()
     if hasattr(model, "components"):
-        sampled = sample_potential(model, grid, t)
-        comps = {"Ax": sampled.ax, "Ay": sampled.ay, "Az": sampled.az, "Phi": sampled.phi}
+        names, what = POTENTIAL_COMPONENTS, ("ax value", "ay value", "az value", "phi value")
+        evaluate = model.components
     else:
-        comps = {"psi": sample_scalar(model, grid, t).values}
-    if dt is not None:
-        second = time_derivatives(model, *grid.open_grid(), t, order=2, dt=dt)
+        names, what = ("psi",), ("scalar value",)
 
-    def residual(i, values):
-        r = laplacian(ComplexScalarField(grid, t, values)).values
-        if dt is None:
-            r -= coef * values
-        else:
-            r -= np.asarray(second[i], dtype=np.complex128) / c ** 2
-        return r if reduce is None else reduce(r)
-
-    return {name: residual(i, values) for i, (name, values) in enumerate(comps.items())}
+        def evaluate(x, y, z, t):
+            return (model.value(x, y, z, t),)
+    out = None if reduce is not None else {
+        name: np.empty(grid.dims, dtype=np.complex128) for name in names}
+    checked = 0  # x planes [0, checked) are known finite
+    # one stencil buffer for every slab and component: a fresh array per
+    # stencil faults in new pages, which cost more than the stencil itself
+    work = np.empty((min(SLAB_PLANES + 2, grid.dims[0]),) + grid.dims[1:],
+                    dtype=np.complex128)
+    for i0, i1, h0, h1 in _slabs(grid.dims[0]):
+        window = (h1 - h0,) + grid.dims[1:]
+        comps = [_component(v, window) for v in evaluate(X[h0:h1], Y, Z, t)]
+        for f, label in zip(comps, what, strict=True):
+            if f.shape[0] > 1:
+                _require_finite(f[checked - h0:], label, checked)
+            elif checked == 0:
+                _require_finite(f, label)
+        checked = h1
+        if dt is not None:
+            second = time_derivatives(model, X[i0:i1], Y, Z, t, order=2, dt=dt)
+        for i, (name, f) in enumerate(zip(names, comps)):
+            lap = work[tuple(slice(n) for n in f.shape)]
+            lap.fill(0)
+            for a in range(3):
+                _add_second_difference(lap, f, grid, a)
+            own = slice(i0 - h0, i1 - h0) if f.shape[0] > 1 else slice(None)
+            r = lap[own]
+            if dt is None:
+                r -= coef * f[own]
+            else:
+                r -= np.asarray(second[i], dtype=np.complex128) / c ** 2
+            if reduce is None:
+                out[name][i0:i1] = r
+            else:
+                reduce(r, slice(i0, i1))
+        del comps, f  # freed before the next slab is evaluated
+    return out
 
 
 def wave_residual(model, grid: GridSpec, t: float, dt=None, c=None) -> ResidualReport:
     """Interior statistics of the wave operator applied to every component.
 
-    Each component's residual is reduced before the next one is computed.
+    Each slab residual is folded into (max, sum of squares, count) as it is
+    made; a value broadcast along an axis stands for that axis's interior
+    nodes, so it is weighted by their number.
     """
-    region = interior_slices(grid.dims)
-    sums = wave_residual_fields(model, grid, t, dt, c,
-                                reduce=lambda r: _interior_sums(region, r))
-    mx, rms = _max_rms(sums.values())
+    spans = [range(*s.indices(n)) for s, n in zip(interior_slices(grid.dims), grid.dims)]
+    sums = []
+
+    def fold(residual, xs):
+        rows = range(max(spans[0].start, xs.start) - xs.start,
+                     min(spans[0].stop, xs.stop) - xs.start)
+        if not rows:
+            return
+        region, weight = [], 1
+        for size, span in zip(residual.shape, [rows] + spans[1:]):
+            if size == 1:
+                region.append(slice(None))
+                weight *= len(span)
+            else:
+                region.append(slice(span.start, span.stop))
+        mx, squares, count = _interior_sums(tuple(region), residual)
+        sums.append((mx, weight * squares, weight * count))
+
+    wave_residual_fields(model, grid, t, dt, c, reduce=fold)
+    mx, rms = _max_rms(sums)
     return ResidualReport("wave", mx, rms, float(max(grid.spacing)))
 
 

@@ -76,6 +76,25 @@ def test_boundary_of_face_block_is_outer_loop():
     assert boundary(edges).coeffs == {}
 
 
+@pytest.mark.parametrize("coeffs", [
+    {2.5: 1},                # non-integral cell index, once truncated to 2
+    {2: math.inf},           # once escaped as OverflowError
+    {2: math.nan},
+    {2: 1.5},
+    {10_000: 1},             # out of range
+], ids=("cell-2.5", "coef-inf", "coef-nan", "coef-1.5", "cell-out-of-range"))
+def test_chain_rejects_non_integral_or_out_of_range_entries(coeffs):
+    cx = CubicalComplex(4, 4)
+    with pytest.raises(ValueError):
+        Chain(cx, 1, coeffs)
+
+
+def test_chain_accepts_whole_floats_as_integers():
+    chain = Chain(CubicalComplex(4, 4), 1, {2.0: 3.0, np.int64(5): np.float64(-1.0), 7: 0})
+    assert chain.coeffs == {2: 3, 5: -1}
+    assert all(type(k) is int and type(v) is int for k, v in chain.coeffs.items())
+
+
 def test_coboundary_examples():
     cx = CubicalComplex(6, 5, spacing=(0.5, 0.5))
     const = form_from_vertex_function(cx, lambda x, y: np.ones_like(x))

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from defectfield import (
+    ComplexScalarField,
     ConstantPotential,
+    ConstantScalar,
     DisclinationModel,
     DislocationModel,
     GridSpec,
@@ -12,22 +16,29 @@ from defectfield import (
     ProductSineModel,
     PureGaugeModel,
     RigidRotationPotential,
+    SamplingError,
     ScalarModel,
     UnsupportedModelError,
     WaveParams,
     convergence_study,
+    divergence,
     electric_field,
     interior_slices,
     interior_stats,
+    laplacian,
     lorentz_residual,
     magnetic_field,
     sample_potential,
+    sample_scalar,
     strip_scalar_potential,
+    time_derivatives,
     transverse_divergence,
     wave_residual,
     wave_residual_fields,
 )
+from defectfield.fields import harmonic_factor
 from defectfield.models import PotentialModel
+from defectfield.verify import SLAB_PLANES
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,3 +279,147 @@ def test_wave_residual_report_matches_fields(model, dt, c):
 def test_interior_slices_shapes():
     assert interior_slices((9, 9, 9)) == (slice(2, 7),) * 3
     assert interior_slices((3, 9, 1)) == (slice(None), slice(2, 7), slice(None))
+
+
+# ---------------------------------------------------- slab-streamed wave kernel
+
+MODEL_KINDS = {
+    "disclination": lambda: disclination(k=1.3, az=0.5 - 0.5j),
+    "dislocation": lambda: DislocationModel(n=-2, k=0.7, omega=1.1, a=0.9),
+    "plane_wave": lambda: PlaneWaveModel(kvec=(0.6, -0.8, 1.3), omega=1.2),
+    "product_sine": lambda: ProductSineModel(qx=1.1, qy=0.9, kz=1.2, omega=1.4, a=0.8),
+    "pure_gauge": lambda: PureGaugeModel(DislocationModel(n=1), c=1.0),
+    "constant_potential": lambda: ConstantPotential(ax=2.0, ay=-1j, az=0.5, phi=1.0j),
+    "rigid_rotation": lambda: RigidRotationPotential(b0=2.0),
+    "constant_scalar": lambda: ConstantScalar(value0=1.0 + 2.0j),
+    "stripped": lambda: strip_scalar_potential(disclination()),
+}
+
+
+def dense_wave_residual(model, grid, t, dt, c):
+    """Reference: whole-grid laplacian of each sampled component minus its time term."""
+    if hasattr(model, "components"):
+        f = sample_potential(model, grid, t)
+        comps = {"Ax": f.ax, "Ay": f.ay, "Az": f.az, "Phi": f.phi}
+    else:
+        comps = {"psi": sample_scalar(model, grid, t).values}
+    c = model.c if c is None else c
+    if dt is not None:
+        second = time_derivatives(model, *grid.open_grid(), t, order=2, dt=dt)
+    out = {}
+    for i, (name, values) in enumerate(comps.items()):
+        r = laplacian(ComplexScalarField(grid, t, values)).values
+        if dt is None:
+            r -= harmonic_factor(model, 2) / c ** 2 * values
+        else:
+            r -= np.asarray(second[i], dtype=np.complex128) / c ** 2
+        out[name] = r
+    return out
+
+
+AXIS_NODES = st.integers(2, 20)
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(
+    dims=st.tuples(AXIS_NODES, AXIS_NODES, AXIS_NODES),
+    spacing=st.tuples(*[st.floats(0.05, 2.0)] * 3),
+    kind=st.sampled_from(sorted(MODEL_KINDS)),
+    dt=st.sampled_from([None, 1e-3]),
+    t=st.floats(-3.0, 3.0),
+)
+@example(dims=(2, 3, 4), spacing=(0.5, 0.5, 0.5), kind="disclination", dt=None, t=0.0)
+@example(dims=(3, 4, 2), spacing=(0.5, 0.7, 0.3), kind="rigid_rotation", dt=1e-3, t=0.0)
+@example(dims=(4, 2, 3), spacing=(0.5, 0.7, 0.3), kind="plane_wave", dt=None, t=0.1)
+@example(dims=(SLAB_PLANES + 1, 5, 6), spacing=(0.3, 0.4, 0.5), kind="disclination",
+         dt=None, t=0.2)
+@example(dims=(SLAB_PLANES + 1, 7, 3), spacing=(0.3, 0.4, 0.5), kind="product_sine",
+         dt=1e-3, t=0.2)
+@example(dims=(2 * SLAB_PLANES + 3, 6, 5), spacing=(0.2, 0.4, 0.5), kind="pure_gauge",
+         dt=None, t=0.2)
+def test_wave_kernel_matches_dense_reference(dims, spacing, kind, dt, t):
+    model = MODEL_KINDS[kind]()
+    c = None if hasattr(model, "c") else 1.3
+    grid = GridSpec(dims, spacing, origin=(-0.4 * dims[0] * spacing[0], -0.3, 0.2))
+    reference = dense_wave_residual(model, grid, t, dt, c)
+    streamed = wave_residual_fields(model, grid, t, dt=dt, c=c)
+    assert list(streamed) == list(reference)
+    for name, expected in reference.items():
+        assert streamed[name].shape == grid.dims
+        assert np.array_equal(streamed[name], expected), name
+    region = interior_slices(grid.dims)
+    mags = np.concatenate([np.abs(a[region]).ravel() for a in reference.values()])
+    report = wave_residual(model, grid, t, dt=dt, c=c)
+    assert report.interior_max == mags.max()
+    assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags ** 2)), rel=1e-12,
+                                                abs=1e-300)
+
+
+class _NaNAt(ScalarModel):
+    """A plane wave that is NaN at one grid node."""
+
+    omega = 1.0
+
+    def __init__(self, point):
+        self.point = point
+
+    def value(self, x, y, z, t):
+        v = np.exp(1j * (np.asarray(z) - t)) + 0.0 * np.asarray(x) + 0.0 * np.asarray(y)
+        hit = (x == self.point[0]) & (y == self.point[1]) & (z == self.point[2])
+        return np.where(hit, np.nan, v)
+
+
+class _AxialNaN(PotentialModel):
+    """A disclination whose axial Phi, shaped (1, 1, nz), is NaN at one z."""
+
+    omega = 1.0
+
+    def __init__(self, z0):
+        self.z0 = z0
+
+    def components(self, x, y, z, t):
+        ax, ay, az, phi = disclination().components(x, y, z, t)
+        return ax, ay, az, np.where(z == self.z0, np.nan, phi)
+
+
+@pytest.mark.parametrize("node", [(2 * SLAB_PLANES + 2, 3, 4), (2 * SLAB_PLANES, 0, 5),
+                                  (SLAB_PLANES, 6, 0)])
+def test_wave_kernel_names_the_global_non_finite_node(node):
+    grid = GridSpec.centered((4.0, 3.0, 2.0), (2 * SLAB_PLANES + 3, 7, 6))
+    model = _NaNAt(grid.node_position(*node))
+    with pytest.raises(SamplingError, match=rf"non-finite scalar value at node \({node[0]}, "
+                                            rf"{node[1]}, {node[2]}\)$"):
+        wave_residual(model, grid, 0.0, c=1.0)
+    z0 = grid.node_position(*node)[2]
+    with pytest.raises(SamplingError, match=rf"non-finite phi value at node \(0, 0, {node[2]}\)$"):
+        wave_residual_fields(_AxialNaN(z0), grid, 0.0)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wave_residual_memory_stays_below_one_component():
+    grid = box_grid(n=65)
+    component_bytes = grid.node_count * np.dtype(np.complex128).itemsize
+    assert _traced_peak(lambda: wave_residual(disclination(), grid, 0.0)) < component_bytes
+
+
+def test_lorentz_residual_evaluates_phi_alone():
+    model = disclination(k=1.1, az=0.7 - 0.4j)
+    grid = box_grid(k=1.1, n=65)
+    f = sample_potential(model, grid, 0.0)
+    div = divergence(f).values
+    matched = model.params.k * grid.spacing[2] / model.params.omega
+    for time_step, dt in (("matched", matched), ("analytic", None), (0.01, 0.01)):
+        dphi = time_derivatives(model, *grid.open_grid(), 0.0, dt=dt)[3]
+        expected = interior_stats(grid, [div + np.asarray(dphi) / model.c])
+        report = lorentz_residual(f, model, time_step=time_step)
+        assert (report.interior_max, report.interior_rms) == expected
+    component_bytes = grid.node_count * np.dtype(np.complex128).itemsize
+    assert _traced_peak(lambda: lorentz_residual(f, model)) < 4 * component_bytes
