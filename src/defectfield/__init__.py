@@ -27,13 +27,11 @@ from .fields import (
     PotentialField,
     SamplingError,
     SpaceTimePoint,
-    central_diff,
     curl,
     divergence,
     laplacian,
     sample_potential,
     sample_scalar,
-    time_derivative,
     time_derivatives,
 )
 from .forms import (

@@ -257,7 +257,11 @@ def cmd_verify(args) -> int:
         raise ValueError("verify requires a disclination model descriptor")
     if args.refinements < 1:
         raise ValueError("refinements must be at least 1")
-    rows = _verify_rows(model, args.dims, args.refinements)
+    try:
+        rows = _verify_rows(model, args.dims, args.refinements)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # finite descriptor values whose squares leave float range (c = 1e308, 1e-300)
+        raise ValueError(f"model magnitudes exceed float range: {exc}") from exc
     lines = ["check,value,expected,tolerance,passed,orders"]
     for r in rows:
         lines.append(
@@ -281,6 +285,8 @@ def cmd_forms(args) -> int:
     from . import forms
 
     if args.demo == "stokes":
+        if args.pairs < 1:
+            raise ValueError("--pairs must be at least 1")
         rng = np.random.default_rng(args.seed)
         cx = forms.CubicalComplex(args.nodes, args.nodes)
         worst = 0.0

@@ -114,17 +114,6 @@ class LoopPath:
         pts = np.vstack([bottom, right, top, left, [[x0, y0]]])
         return cls(pts, z)
 
-    @classmethod
-    def from_node_indices(cls, grid: GridSpec, ij, k: int = 0) -> "LoopPath":
-        ij = np.asarray(ij, dtype=int)
-        pts = np.column_stack([
-            grid.origin[0] + ij[:, 0] * grid.spacing[0],
-            grid.origin[1] + ij[:, 1] * grid.spacing[1],
-        ])
-        if np.any(pts[0] != pts[-1]):
-            pts = np.vstack([pts, pts[:1]])
-        return cls(pts, grid.origin[2] + k * grid.spacing[2])
-
 
 @dataclass(frozen=True)
 class DefectRecord:
@@ -325,71 +314,52 @@ def _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref):
     return float(alphas[best]), math.sqrt(float(g[best]))
 
 
-def _accumulate_rotation(model, stations, betas_at, refs_at, n_theta):
+def _rotation_rate(model, s0, s1, rate, at, n_theta, full_output, var):
+    """Mean rotation rate of the azimuth pattern between stations s0 and s1.
+
+    ``at(s)`` gives the (z, t) of station s and ``rate`` the pattern's
+    angular rate per unit s (omega or k). The interval is split into
+    substeps small enough that each alignment angle stays well inside a
+    quarter turn, and the per-step angles are accumulated, so rotations
+    exceeding a half turn (e.g. over a full period) are tracked
+    unambiguously.
+    """
+    if n_theta < 16:
+        raise ValueError("n_theta must be at least 16")
+    if s1 < s0:
+        raise ValueError(f"{var}1 must not precede {var}0")
+    if s1 == s0:
+        return (0.0, 0.0) if full_output else 0.0
+    m = max(1, math.ceil(abs(rate) * (s1 - s0) / 2.0 / STEP_TARGET))
+    stations = np.linspace(s0, s1, m + 1)
     thetas = TWO_PI * np.arange(n_theta) / n_theta
     total = 0.0
     worst = 0.0
     for a, b in zip(stations[:-1], stations[1:]):
-        beta_target = betas_at(thetas, b)
-        z_ref, t_ref = refs_at(a)
-        alpha, res = _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref)
+        beta_target = _circle_azimuths(model, thetas, *at(b))
+        alpha, res = _fit_rotation_step(model, thetas, beta_target, *at(a))
         if res > FIT_RESIDUAL_TOL:
             raise RigidRotationFitError(
                 f"alignment residual {res:.3e} exceeds {FIT_RESIDUAL_TOL:.0e}"
             )
         total += alpha
         worst = max(worst, res)
-    return total, worst
+    result = total / (s1 - s0)
+    return (result, worst) if full_output else result
 
 
 def pattern_rotation_rate(model, t0: float, t1: float, n_theta: int = 64,
                           full_output: bool = False):
-    """Angular velocity of the rigid rotation of the z = 0 azimuth pattern.
-
-    The interval is split into substeps small enough that each alignment
-    angle stays well inside a quarter turn, and the per-step angles are
-    accumulated, so rotations exceeding a half turn (e.g. over a full
-    period) are tracked unambiguously.
-    """
-    if n_theta < 16:
-        raise ValueError("n_theta must be at least 16")
-    if t1 < t0:
-        raise ValueError("t1 must not precede t0")
-    if t1 == t0:
-        return (0.0, 0.0) if full_output else 0.0
-    omega = model.params.omega
-    m = max(1, math.ceil(abs(omega) * (t1 - t0) / 2.0 / STEP_TARGET))
-    stations = np.linspace(t0, t1, m + 1)
-    total, worst = _accumulate_rotation(
-        model, stations,
-        betas_at=lambda thetas, t: _circle_azimuths(model, thetas, 0.0, t),
-        refs_at=lambda t: (0.0, t),
-        n_theta=n_theta,
-    )
-    rate = total / (t1 - t0)
-    return (rate, worst) if full_output else rate
+    """Angular velocity of the rigid rotation of the z = 0 azimuth pattern."""
+    return _rotation_rate(model, t0, t1, model.params.omega, lambda t: (0.0, t),
+                          n_theta, full_output, "t")
 
 
 def axial_twist_per_length(model, z0: float, z1: float, t: float,
                            n_theta: int = 64, full_output: bool = False):
     """Signed rotation rate of the azimuth pattern per unit z at fixed time."""
-    if n_theta < 16:
-        raise ValueError("n_theta must be at least 16")
-    if z1 < z0:
-        raise ValueError("z1 must not precede z0")
-    if z1 == z0:
-        return (0.0, 0.0) if full_output else 0.0
-    k = model.params.k
-    m = max(1, math.ceil(abs(k) * (z1 - z0) / 2.0 / STEP_TARGET))
-    stations = np.linspace(z0, z1, m + 1)
-    total, worst = _accumulate_rotation(
-        model, stations,
-        betas_at=lambda thetas, z: _circle_azimuths(model, thetas, z, t),
-        refs_at=lambda z: (z, t),
-        n_theta=n_theta,
-    )
-    rate = total / (z1 - z0)
-    return (rate, worst) if full_output else rate
+    return _rotation_rate(model, z0, z1, model.params.k, lambda z: (z, t),
+                          n_theta, full_output, "z")
 
 
 def tifold_index(model, n_theta: int = 64, full_output: bool = False):

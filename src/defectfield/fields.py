@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
 POTENTIAL_COMPONENTS = ("Ax", "Ay", "Az", "Phi")
 
 
@@ -57,9 +55,8 @@ class GridSpec:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    def axis_coords(self, axis) -> np.ndarray:
-        a = AXIS_INDEX.get(axis, axis)
-        return self.origin[a] + self.spacing[a] * np.arange(self.dims[a])
+    def axis_coords(self, axis: int) -> np.ndarray:
+        return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
 
     def meshgrid(self):
         return np.meshgrid(
@@ -211,12 +208,11 @@ def _take(values: np.ndarray, idx, axis: int) -> np.ndarray:
     return values[tuple(sl)]
 
 
-def _diff_array(values: np.ndarray, grid: GridSpec, axis) -> np.ndarray:
-    a = AXIS_INDEX.get(axis, axis)
+def _diff_array(values: np.ndarray, grid: GridSpec, a: int) -> np.ndarray:
     n = grid.dims[a]
     h = grid.spacing[a]
     if n < 2:
-        raise ValueError(f"axis {axis!r} has {n} node(s); need at least 2 to differentiate")
+        raise ValueError(f"axis {a!r} has {n} node(s); need at least 2 to differentiate")
     if n == 2:
         # only a first-order two-point difference is possible (exact on linears)
         return np.repeat(np.diff(values, axis=a), 2, axis=a) / h
@@ -231,12 +227,6 @@ def _diff_array(values: np.ndarray, grid: GridSpec, axis) -> np.ndarray:
     g0, g1, g2 = (_take(values, i, a) for i in (-1, -2, -3))
     _take(out, -1, a)[...] = (4.0 * (g0 - g1) - (g0 - g2)) / (2.0 * h)
     return out
-
-
-def central_diff(field: ComplexScalarField, axis) -> ComplexScalarField:
-    """Partial derivative along one axis, second order where three nodes exist."""
-    d = _diff_array(field.values, field.grid, axis)
-    return ComplexScalarField(field.grid, field.time, d)
 
 
 def divergence(field: PotentialField) -> ComplexScalarField:
@@ -332,8 +322,8 @@ def time_derivatives(model, x, y, z, t, order: int = 1, dt=None) -> tuple:
 
     Every model varies in time as exp(-i*omega*t) and declares ``omega``
     (0 for static models), so with ``dt=None`` the result is the closed
-    form (-i*omega)**order times the components. A float ``dt`` takes the
-    2-point (order 1) or 3-point (order 2) central difference instead.
+    form (-i*omega)**order times the components. A finite ``dt`` > 0 takes
+    the 2-point (order 1) or 3-point (order 2) central difference instead.
     Returns the four potential components, or a 1-tuple for scalar models.
     """
     if hasattr(model, "components"):
@@ -346,6 +336,8 @@ def time_derivatives(model, x, y, z, t, order: int = 1, dt=None) -> tuple:
         return tuple(f * v for v in evaluate(x, y, z, t))
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     plus = evaluate(x, y, z, t + dt)
     minus = evaluate(x, y, z, t - dt)
     if order == 1:
@@ -353,17 +345,3 @@ def time_derivatives(model, x, y, z, t, order: int = 1, dt=None) -> tuple:
     mid = evaluate(x, y, z, t)
     return tuple((p - 2 * m0 + m) / dt ** 2 for p, m0, m in zip(plus, mid, minus))
 
-
-def time_derivative(model, point: SpaceTimePoint, dt: float):
-    """Central-difference time derivative of a model at one space-time point.
-
-    Returns a complex number for scalar models, a 4-tuple for potential
-    models. ``time_derivatives`` with ``dt=None`` gives the closed form;
-    the two agree to O(dt^2).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    out = time_derivatives(model, point.x, point.y, point.z, point.t, dt=dt)
-    if any(not np.isfinite(v) for v in out):
-        raise SamplingError(f"non-finite time derivative at {point}")
-    return out if hasattr(model, "components") else complex(out[0])

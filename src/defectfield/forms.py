@@ -66,13 +66,6 @@ class CubicalComplex:
                 raise ValueError("face_mask must have shape (nx-1, ny-1)")
         self.face_mask = face_mask
 
-    @classmethod
-    def from_grid(cls, grid) -> "CubicalComplex":
-        if grid.dims[2] != 1:
-            raise ValueError("cubical complexes are built from single-slice grids (nz = 1)")
-        return cls(grid.dims[0], grid.dims[1], spacing=grid.spacing[:2],
-                   origin=grid.origin[:2])
-
     def n_cells(self, degree: int) -> int:
         return {0: self.n_vertices, 1: self.n_edges, 2: self.n_faces}[degree]
 
@@ -308,8 +301,6 @@ def closed_not_exact_witness(form: DiscreteForm):
     if form.degree != 1:
         raise DegreeError("witness applies to 1-forms")
     cx = form.cx
-    if cx.face_mask is None or cx.face_present.all():
-        raise NoCycleError("complex has no hole, so no encircling cycle exists")
     d = coboundary(form).values
     is_closed = bool(np.max(np.abs(d[cx.face_present])) <= 1e-10)
     period = evaluate(form, hole_cycle(cx))
@@ -336,7 +327,7 @@ class ParametricCycle:
         x1, y1 = self.curve(np.array([1.0]))
         gap = math.hypot(float(x1[0] - x0[0]), float(y1[0] - y0[0]))
         scale = max(1.0, abs(float(x0[0])), abs(float(y0[0])))
-        if gap > 1e-12 * scale:
+        if not gap <= 1e-12 * scale:  # a NaN gap (non-finite curve) fails too
             raise ValueError(f"curve endpoints differ by {gap:.3e}; cycle must close")
 
     @classmethod
@@ -464,8 +455,8 @@ def ws_integral(energy: float, frequency: float, mass: float) -> float:
     frequency, traversed in the direction of physical motion; the
     analytic value is energy/frequency.
     """
-    if energy <= 0 or frequency <= 0 or mass <= 0:
-        raise ValueError("energy, frequency and mass must all be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (energy, frequency, mass)):
+        raise ValueError("energy, frequency and mass must all be positive and finite")
     q_amp = math.sqrt(2.0 * energy / mass) / (TWO_PI * frequency)
     p_amp = math.sqrt(2.0 * mass * energy)
 

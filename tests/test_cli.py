@@ -169,6 +169,18 @@ def test_verify_rejects_zero_amplitude(capsys):
     assert "amplitude" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("descriptor", [
+    {"model": "disclination", "k": 1, "c": 1e308},
+    {"model": "disclination", "k": 1e200},
+    {"model": "disclination", "k": 1, "omega": 1e308},
+    {"model": "disclination", "k": 1, "c": 1e-300},
+])
+def test_verify_extreme_magnitudes_exit_usage(descriptor, capsys):
+    argv = ["verify", "--model", json.dumps(descriptor), "--dims", "5", "--refinements", "1"]
+    assert main(argv) == EXIT_USAGE
+    assert "float range" in capsys.readouterr().err
+
+
 def test_verify_requires_disclination(tmp_path, capsys):
     assert main(["verify", "--model", DISLOCATION]) == EXIT_USAGE
 
@@ -195,6 +207,16 @@ def test_forms_demos(capsys):
     assert main(["forms", "--demo", "stokes"]) == EXIT_OK
     stokes = json.loads(capsys.readouterr().out)
     assert stokes["max_relative_residual"] <= 1e-12
+
+
+def test_forms_rejects_bad_numbers(capsys):
+    for argv in (["--demo", "period", "--radius", "nan"],
+                 ["--demo", "period", "--radius", "inf"],
+                 ["--demo", "ws", "--energy", "nan"],
+                 ["--demo", "stokes", "--pairs", "0"],
+                 ["--demo", "stokes", "--pairs", "-5"]):
+        assert main(["forms", *argv]) == EXIT_USAGE, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_ledger_command(capsys):

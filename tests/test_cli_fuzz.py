@@ -53,3 +53,18 @@ def test_arbitrary_csv_report_input_never_crashes(text, out_name):
     # exit 1 is the verdict for a row whose `passed` cell is not "true"
     assert _report("input.csv", text, out_name) in (
         EXIT_OK, EXIT_CLAIM_FAILURE, EXIT_USAGE, EXIT_IO)
+
+
+MAGNITUDES = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+DISCLINATIONS = st.fixed_dictionaries(
+    {"model": st.just("disclination"), "k": MAGNITUDES},
+    optional={"c": MAGNITUDES, "omega": MAGNITUDES, "a": MAGNITUDES,
+              "az": st.tuples(MAGNITUDES, MAGNITUDES).map(list)},
+)
+
+
+@SETTINGS
+@hypothesis.given(DISCLINATIONS)
+def test_extreme_disclination_verify_never_crashes(descriptor):
+    argv = ["verify", "--model", json.dumps(descriptor), "--dims", "5", "--refinements", "1"]
+    assert main(argv) in (EXIT_OK, EXIT_CLAIM_FAILURE, EXIT_USAGE)

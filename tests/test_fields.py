@@ -18,7 +18,6 @@ from defectfield import (
     SamplingError,
     SpaceTimePoint,
     WaveParams,
-    central_diff,
     curl,
     divergence,
     laplacian,
@@ -27,9 +26,9 @@ from defectfield import (
     sample_scalar,
     save_field,
     strip_scalar_potential,
-    time_derivative,
     time_derivatives,
 )
+from defectfield.fields import _diff_array
 from defectfield.models import PotentialModel
 
 
@@ -159,30 +158,26 @@ def test_sampling_error_names_node():
 def test_central_diff_constant_and_linear():
     grid = GridSpec((6, 5, 4), (0.3, 0.4, 0.5))
     const = sample_scalar(ConstantScalar(2.0 - 1.0j), grid, 0.0)
-    assert np.max(np.abs(central_diff(const, "x").values)) == 0.0
+    assert np.max(np.abs(_diff_array(const.values, grid, 0))) == 0.0
 
     X, _, _ = grid.meshgrid()
-    f = ComplexScalarField(grid, 0.0, X.astype(complex))
-    d = central_diff(f, "x").values
+    d = _diff_array(X.astype(complex), grid, 0)
     assert np.allclose(d, 1.0, atol=1e-13)  # exact everywhere, boundaries included
 
 
 def test_central_diff_two_node_axis():
     grid = GridSpec((2, 2, 2), (0.5, 0.5, 0.5))
     X, _, _ = grid.meshgrid()
-    f = ComplexScalarField(grid, 0.0, (3.0 * X).astype(complex))
-    assert np.allclose(central_diff(f, "x").values, 3.0, atol=1e-13)
+    assert np.allclose(_diff_array((3.0 * X).astype(complex), grid, 0), 3.0, atol=1e-13)
     with pytest.raises(ValueError):
-        central_diff(ComplexScalarField(GridSpec((1, 2, 2), (1, 1, 1)),
-                                        0.0, np.zeros((1, 2, 2), complex)), "x")
+        _diff_array(np.zeros((1, 2, 2), complex), GridSpec((1, 2, 2), (1, 1, 1)), 0)
 
 
 def test_central_diff_sin_accuracy():
     # Taylor remainder dx^2/6 bounds the interior error
     grid = GridSpec((201, 2, 2), (0.01, 1.0, 1.0))
     X, _, _ = grid.meshgrid()
-    f = ComplexScalarField(grid, 0.0, np.sin(X).astype(complex))
-    d = central_diff(f, "x").values
+    d = _diff_array(np.sin(X).astype(complex), grid, 0)
     err = np.abs(d[1:-1] - np.cos(X[1:-1]))
     assert err.max() < 1e-4
 
@@ -192,8 +187,7 @@ def test_central_diff_convergence_order():
     grid = GridSpec((41, 2, 2), (0.1, 1.0, 1.0))
     for _ in range(3):
         X, _, _ = grid.meshgrid()
-        f = ComplexScalarField(grid, 0.0, np.sin(X).astype(complex))
-        err = np.abs(central_diff(f, "x").values - np.cos(X))[2:-2]
+        err = np.abs(_diff_array(np.sin(X).astype(complex), grid, 0) - np.cos(X))[2:-2]
         maxima.append(err.max())
         grid = grid.refined()
     orders = [math.log2(a / b) for a, b in zip(maxima, maxima[1:])]
@@ -207,9 +201,8 @@ def test_central_diff_linearity():
     fa = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
     fb = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
     alpha, beta = 1.25, -0.5  # exactly representable scalings
-    lhs = central_diff(ComplexScalarField(grid, 0, alpha * fa + beta * fb), "y").values
-    rhs = (alpha * central_diff(ComplexScalarField(grid, 0, fa), "y").values
-           + beta * central_diff(ComplexScalarField(grid, 0, fb), "y").values)
+    lhs = _diff_array(alpha * fa + beta * fb, grid, 1)
+    rhs = alpha * _diff_array(fa, grid, 1) + beta * _diff_array(fb, grid, 1)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -289,23 +282,20 @@ def test_divergence_of_curl_small_for_smooth_models():
 
 
 def test_time_derivative_static_and_plane_wave():
-    pt = SpaceTimePoint(0.3, -0.2, 0.1, t=0.0)
-    assert time_derivative(ConstantScalar(5.0), pt, 1e-3) == 0.0
+    assert time_derivatives(ConstantScalar(5.0), 0.3, -0.2, 0.1, 0.0, dt=1e-3) == (0.0,)
 
     wave = PlaneWaveModel(kvec=(0.0, 0.0, 0.0), omega=2.0)
-    origin = SpaceTimePoint(0.0, 0.0, 0.0, t=0.0)
     assert time_derivatives(wave, 0.0, 0.0, 0.0, 0.0)[0] == pytest.approx(-2.0j, abs=1e-15)
     # central-difference error is omega^3 dt^2 / 6 = 1.34e-6 at dt=1e-3
-    numeric = time_derivative(wave, origin, 1e-3)
+    [numeric] = time_derivatives(wave, 0.0, 0.0, 0.0, 0.0, dt=1e-3)
     assert abs(numeric - (-2.0j)) < 1.5e-6
     assert abs(numeric - (-2.0j)) > 1e-7  # the bound is tight, not vacuous
 
 
 def test_time_derivative_potential_model():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
-    pt = SpaceTimePoint(1.0, 0.5, 0.2, t=0.3)
-    numeric = time_derivative(model, pt, 1e-4)
-    exact = time_derivatives(model, pt.x, pt.y, pt.z, pt.t)
+    numeric = time_derivatives(model, 1.0, 0.5, 0.2, 0.3, dt=1e-4)
+    exact = time_derivatives(model, 1.0, 0.5, 0.2, 0.3)
     for n, e in zip(numeric, exact):
         assert abs(n - complex(e)) < 1e-7
 
@@ -328,8 +318,9 @@ def test_time_derivatives_closed_form_matches_differences():
 
 
 def test_time_derivative_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        time_derivative(ConstantScalar(1.0), SpaceTimePoint(0, 0, 0), 0.0)
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            time_derivatives(ConstantScalar(1.0), 0, 0, 0, 0, dt=dt)
 
 
 def test_field_roundtrip_bit_exact(tmp_path):

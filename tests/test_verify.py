@@ -121,6 +121,20 @@ def test_models_without_omega_need_a_time_step():
         assert 0.0 < report.interior_max < 0.05  # O(h^2) spatial error, |f| = 1
 
 
+def test_time_step_must_be_positive_and_finite():
+    model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
+    grid = GridSpec.centered((2.0, 2.0, 2.0), (9, 9, 9))
+    field = sample_potential(model, grid, 0.0)
+    message = "dt must be positive and finite"
+    for dt in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match=message):
+            wave_residual(model, grid, 0.0, dt=dt)
+        with pytest.raises(ValueError, match=message):
+            lorentz_residual(field, model, time_step=dt)
+        with pytest.raises(ValueError, match=message):
+            electric_field(field, model, dt=dt)
+
+
 @pytest.mark.parametrize("psi", PSI_MODELS, ids=("vortex", "oblique", "sines"))
 def test_pure_gauge_fields_converge_to_zero(psi):
     gauge = PureGaugeModel(psi, c=1.0)
