@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Screw dislocations in a scalar wave: amplitude zeros with quantized winding.
 
-Builds a field with three first-order zeros, locates them from plaquette
-phase sums, and shows that loop integrals of the phase count exactly the
-enclosed charges no matter how the loop is drawn.
+Builds a field with three first-order zeros, locates them from phase sums
+(each zero here sits on a grid node, so around its 8-node ring), and shows
+that loop integrals of the phase count exactly the enclosed charges no
+matter how the loop is drawn.
 """
 
 import numpy as np
@@ -24,11 +25,11 @@ print("planted defects:")
 for x0, y0, charge in defects:
     print(f"  charge {charge:+d} at ({x0:+.2f}, {y0:+.2f})")
 
-print("\ndetected from 2x2 plaquette phase sums:")
+print("\ndetected from phase sums around 2x2 plaquettes or on-node 8-node rings:")
 for rec in df.find_dislocations(field, 0):
     x, y, _ = rec.position
     print(f"  index {int(rec.index):+d} at ({x:+.3f}, {y:+.3f}), "
-          f"corner amplitude {rec.confidence:.3f}")
+          f"amplitude margin {rec.confidence:.3f}")
 
 print("\nphase winding around hand-drawn loops:")
 loops = {

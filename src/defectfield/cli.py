@@ -186,13 +186,14 @@ def _verify_rows(model, dims: int, refinements: int) -> list[dict]:
     grid = fields.GridSpec.centered(box, (dims, dims, dims))
     sampled = fields.sample_potential(model, grid, 0.0)
     region = verify.interior_slices(grid.dims)
-    # the wave residual is reported relative to k^2 * max|A|
-    wave_scale = k * k * max(
-        float(np.abs(c[region]).max())
-        for c in (sampled.ax, sampled.ay, sampled.az, sampled.phi)
-    )
-    if wave_scale == 0:
+    amplitude = max(float(np.abs(c[region]).max())
+                    for c in (sampled.ax, sampled.ay, sampled.az, sampled.phi))
+    if amplitude == 0:
         raise ValueError("verify requires a nonzero disclination amplitude (a or az)")
+    # the wave residual is reported relative to k^2 * max|A|
+    wave_scale = k * k * amplitude
+    if wave_scale == 0:
+        raise ValueError("model magnitudes exceed float range: k^2 * max|A| underflows to 0")
     rows = []
 
     def add(check, value, expected, tolerance, passed, orders=""):

@@ -2,15 +2,19 @@
 
 Dislocations are amplitude zeros of a complex scalar wave with quantized
 phase winding; disclinations are simultaneous zeros of both transverse
-potential components. Windings come from sums of wrapped phase steps
-around closed loops or grid plaquettes, so results are exact integers by
-construction. Pattern-alignment fits measure the rigid rotation rate of
-the transverse azimuth pattern in time and its twist rate along the
-propagation axis, and the rotation per period yields the time-defect
-(tifold) index. Each substep of a fit is closed form: a rigid rotation by
-alpha multiplies the Fourier coefficient c_n of exp(i*beta(theta)) by
-exp(i*(1-n)*alpha), so the dominant mode n != 1 gives |1-n| candidate
-angles, and one evaluation of the alignment mismatch picks among them.
+potential components. One rule finds both: a point where every component
+of the slice vanishes and winds. A core sitting exactly on a grid node is
+reported once, at its node, with the winding around its 8-node ring;
+other cores are found by plaquette. Windings come from sums of wrapped
+phase steps around closed loops or grid plaquettes, so results are exact
+integers by construction. Pattern-alignment fits measure the rigid
+rotation rate of the transverse azimuth pattern in time and its twist
+rate along the propagation axis, and the rotation per period yields the
+time-defect (tifold) index. Each substep of a fit is closed form: a rigid
+rotation by alpha multiplies the Fourier coefficient c_n of
+exp(i*beta(theta)) by exp(i*(1-n)*alpha), so the dominant mode n != 1
+gives |1-n| candidate angles, and one evaluation of the alignment
+mismatch picks among them.
 """
 
 from __future__ import annotations
@@ -20,15 +24,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .fields import ComplexScalarField, GridSpec, PotentialField
 
-DEFAULT_TOL_AMP = 1e-9
+TOL_AMP = 1e-9  # amplitude floor of a winding loop; relative to the median in slice scans
+REL_ZERO = 0.75  # corner amplitude, relative to the median, below which components coincide
 FIT_RESIDUAL_TOL = 1e-6
 STEP_TARGET = math.pi / 4  # per-substep alignment angle kept well inside (-pi/2, pi/2)
 
 TWO_PI = 2.0 * math.pi
+# 8-node counterclockwise ring around a node as (di, dj) offsets, closed
+_RING = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
+                  (1, 0)])
 
 
 class NearZeroOnLoopError(ValueError):
@@ -134,18 +141,28 @@ def _nearest_slice(grid: GridSpec, z: float) -> int:
 
 
 def _loop_values(field: ComplexScalarField, loop: LoopPath) -> np.ndarray:
-    k = _nearest_slice(field.grid, loop.z)
-    xs = field.grid.axis_coords(0)
-    ys = field.grid.axis_coords(1)
-    interp = RegularGridInterpolator((xs, ys), field.values[:, :, k], method="linear")
-    return interp(loop.points)
+    """Bilinear interpolation of the loop's z slice at the loop vertices."""
+    values = field.values[:, :, _nearest_slice(field.grid, loop.z)]
+    cells, fracs = [], []
+    for axis in (0, 1):
+        nodes = field.grid.axis_coords(axis)
+        p = loop.points[:, axis]
+        # a NaN vertex fails both comparisons, so it is rejected here too
+        if len(nodes) < 2 or not np.all((nodes[0] <= p) & (p <= nodes[-1])):
+            raise ValueError(f"loop leaves the grid along axis {axis}")
+        i = np.clip(np.searchsorted(nodes, p, side="right") - 1, 0, len(nodes) - 2)
+        cells.append(i)
+        fracs.append((p - nodes[i]) / (nodes[i + 1] - nodes[i]))
+    (i, j), (u, v) = cells, fracs
+    return (values[i, j] * (1 - u) * (1 - v) + values[i, j + 1] * (1 - u) * v
+            + values[i + 1, j] * u * (1 - v) + values[i + 1, j + 1] * u * v)
 
 
-def _winding_from_values(values: np.ndarray, tol_amp: float) -> int:
+def _winding_from_values(values: np.ndarray, floor: float) -> int:
     amp = np.abs(values)
-    if np.any(amp <= tol_amp):
+    if np.any(amp <= floor):
         raise NearZeroOnLoopError(
-            f"loop amplitude {amp.min():.3e} is at or below tolerance {tol_amp:.3e}"
+            f"loop amplitude {amp.min():.3e} is at or below tolerance {floor:.3e}"
         )
     steps = wrap_angle(np.diff(np.angle(values)))
     if np.any(np.abs(np.abs(steps) - math.pi) <= 1e-9):
@@ -156,17 +173,20 @@ def _winding_from_values(values: np.ndarray, tol_amp: float) -> int:
     return int(round(n))
 
 
-def phase_winding(field: ComplexScalarField, loop: LoopPath,
-                  tol_amp: float = DEFAULT_TOL_AMP) -> int:
+def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
     """Signed number of 2*pi phase turns along the loop (positive CCW about +z)."""
-    return _winding_from_values(_loop_values(field, loop), tol_amp)
+    return _winding_from_values(_loop_values(field, loop), TOL_AMP)
 
 
 def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
     """Integer winding of every 2x2 plaquette of a complex slice (CCW about +z)."""
     phase = np.angle(values2d)
-    dx = wrap_angle(np.diff(phase, axis=0))  # step (i, j) -> (i+1, j)
-    dy = wrap_angle(np.diff(phase, axis=1))  # step (i, j) -> (i, j+1)
+    dx = np.diff(phase, axis=0)  # step (i, j) -> (i+1, j)
+    dy = np.diff(phase, axis=1)  # step (i, j) -> (i, j+1)
+    for d in (dx, dy):
+        # steps of two angles in [-pi, pi] lie in [-2*pi, 2*pi]: one shift wraps them
+        d[d > math.pi] -= TWO_PI
+        d[d <= -math.pi] += TWO_PI
     total = dx[:, :-1] + dy[1:, :] - dx[:, 1:] - dy[:-1, :]
     return np.round(total / TWO_PI).astype(int)
 
@@ -176,94 +196,68 @@ def _plaquette_centroid(grid: GridSpec, i: int, j: int, k: int):
     return (x0 + grid.spacing[0] / 2, y0 + grid.spacing[1] / 2, z0)
 
 
-def find_dislocations(field: ComplexScalarField, z_slice: int) -> list[DefectRecord]:
-    """Scan one z slice for plaquettes carrying nonzero phase winding."""
-    values = field.slice_z(z_slice)
-    if values.shape[0] < 2 or values.shape[1] < 2:
-        raise ValueError("slice must be at least 2x2 nodes")
-    q = _plaquette_windings(values)
-    amp = np.abs(values)
-    records = []
-    for i, j in np.argwhere(q != 0):
-        conf = float(amp[i:i + 2, j:j + 2].min())
-        records.append(DefectRecord(
-            kind="dislocation",
-            position=_plaquette_centroid(field.grid, i, j, z_slice),
-            index=Fraction(int(q[i, j])),
-            confidence=conf,
-        ))
-    records.sort(key=lambda r: r.position)
-    return records
+def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
+                kind: str) -> list[DefectRecord]:
+    """Scan one slice for points where every component vanishes and winds.
 
-
-def _ring_indices(i: int, j: int):
-    # 8-node counterclockwise ring around node (i, j), closed
-    ring = [(i + 1, j), (i + 1, j + 1), (i, j + 1), (i - 1, j + 1),
-            (i - 1, j), (i - 1, j - 1), (i, j - 1), (i + 1, j - 1), (i + 1, j)]
-    return tuple(np.array(v) for v in zip(*ring))
-
-
-def find_disclinations(field: PotentialField, z_slice: int,
-                       tol_amp: float = DEFAULT_TOL_AMP,
-                       rel_zero: float = 0.75) -> list[DefectRecord]:
-    """Scan one z slice for simultaneous zeros of both transverse components.
-
-    Candidates are plaquettes where Ax and Ay both carry nonzero phase
-    winding (both components vanish inside) and whose corner amplitudes
-    sit below ``rel_zero`` times the slice median; nodes where both
-    amplitudes are below ``tol_amp`` times the median transverse amplitude
-    are treated as exact on-node zeros and indexed by the winding of Ax
-    around the surrounding 8-node ring.
+    ``comps`` holds the slice of each component: ``[psi]`` for a scalar
+    wave, ``[Ax, Ay]`` for a potential; ``amp`` is their joint amplitude.
+    A node whose components all sit at or below ``TOL_AMP`` times the median
+    of ``amp``, while the first component clears that floor on the whole
+    8-node ring around it, is an on-node zero: it is indexed by the winding
+    of the first component around the ring, and its four plaquettes are
+    not scanned again. Elsewhere, a plaquette is a candidate when every
+    component winds around it. One winding component already encloses its
+    own zero; with several, their zeros must coincide, so each corner
+    amplitude minimum must also sit below ``REL_ZERO`` times that
+    component's median.
     """
-    ax = field.ax[:, :, z_slice]
-    ay = field.ay[:, :, z_slice]
-    nx, ny = ax.shape
+    nx, ny = comps[0].shape
     if nx < 2 or ny < 2:
         raise ValueError("slice must be at least 2x2 nodes")
-    amp_x = np.abs(ax)
-    amp_y = np.abs(ay)
-    amp_t = np.hypot(amp_x, amp_y)
-    med_t = float(np.median(amp_t))
-    if med_t == 0.0:
-        return []
+    amps = [np.abs(c) for c in comps]
+    amp = amps[0] if len(amps) == 1 else np.hypot(*amps)
+    floor = TOL_AMP * float(np.median(amp))
     records = []
     consumed = np.zeros((nx - 1, ny - 1), dtype=bool)
 
-    node_zero = (amp_x <= tol_amp * med_t) & (amp_y <= tol_amp * med_t)
-    for i, j in np.argwhere(node_zero):
-        if not (1 <= i <= nx - 2 and 1 <= j <= ny - 2):
-            continue
-        ring = _ring_indices(i, j)
-        ring_vals = ax[ring]
-        if np.any(np.abs(ring_vals) <= tol_amp * med_t):
-            continue
-        idx = _winding_from_values(ring_vals, tol_amp * med_t)
+    on_node = np.logical_and.reduce([a <= floor for a in amps])[1:-1, 1:-1]
+    clear = amps[0] > floor
+    for di, dj in _RING[:-1]:
+        on_node &= clear[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj]
+    for i, j in np.argwhere(on_node) + 1:
+        ring = (i + _RING[:, 0], j + _RING[:, 1])
+        try:
+            idx = _winding_from_values(comps[0][ring], floor)
+        except (AmbiguousStepError, NonIntegerWindingError):
+            continue  # the ring is too coarse for this core; plaquettes report it
         if idx != 0:
-            records.append(DefectRecord(
-                kind="disclination",
-                position=field.grid.node_position(i, j, z_slice),
-                index=Fraction(idx),
-                confidence=float(amp_t[ring].min()),
-            ))
-        consumed[max(i - 1, 0):i + 1, max(j - 1, 0):j + 1] = True
+            records.append(DefectRecord(kind, grid.node_position(i, j, z_slice),
+                                        Fraction(idx), float(amp[ring].min())))
+        consumed[i - 1:i + 1, j - 1:j + 1] = True
 
-    qx = _plaquette_windings(ax)
-    qy = _plaquette_windings(ay)
-    med_x = float(np.median(amp_x))
-    med_y = float(np.median(amp_y))
-    for i, j in np.argwhere((qx != 0) & (qy != 0) & ~consumed):
-        corner_x = amp_x[i:i + 2, j:j + 2].min()
-        corner_y = amp_y[i:i + 2, j:j + 2].min()
-        if corner_x > rel_zero * med_x or corner_y > rel_zero * med_y:
+    windings = [_plaquette_windings(c) for c in comps]
+    medians = [float(np.median(a)) for a in amps] if len(amps) > 1 else []
+    candidates = np.logical_and.reduce([q != 0 for q in windings]) & ~consumed
+    for i, j in np.argwhere(candidates):
+        if any(a[i:i + 2, j:j + 2].min() > REL_ZERO * m for a, m in zip(amps, medians)):
             continue
-        records.append(DefectRecord(
-            kind="disclination",
-            position=_plaquette_centroid(field.grid, i, j, z_slice),
-            index=Fraction(int(qx[i, j])),
-            confidence=float(amp_t[i:i + 2, j:j + 2].min()),
-        ))
+        records.append(DefectRecord(kind, _plaquette_centroid(grid, i, j, z_slice),
+                                    Fraction(int(windings[0][i, j])),
+                                    float(amp[i:i + 2, j:j + 2].min())))
     records.sort(key=lambda r: r.position)
     return records
+
+
+def find_dislocations(field: ComplexScalarField, z_slice: int) -> list[DefectRecord]:
+    """Scan one z slice for phase singularities of a scalar wave (see ``_find_zeros``)."""
+    return _find_zeros([field.slice_z(z_slice)], field.grid, z_slice, "dislocation")
+
+
+def find_disclinations(field: PotentialField, z_slice: int) -> list[DefectRecord]:
+    """Scan one z slice for simultaneous zeros of Ax and Ay (see ``_find_zeros``)."""
+    return _find_zeros([field.ax[:, :, z_slice], field.ay[:, :, z_slice]],
+                       field.grid, z_slice, "disclination")
 
 
 def _circle_azimuths(model, thetas, z, t) -> np.ndarray:

@@ -169,6 +169,14 @@ def test_verify_rejects_zero_amplitude(capsys):
     assert "amplitude" in capsys.readouterr().err
 
 
+def test_verify_underflowing_wave_scale_is_not_a_zero_amplitude(capsys):
+    # k * k * max|A| underflows to 0 although the amplitude is not zero
+    tiny = json.dumps({"model": "disclination", "k": 1e-300})
+    assert main(["verify", "--model", tiny, "--dims", "5", "--refinements", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "float range" in err and "amplitude" not in err
+
+
 @pytest.mark.parametrize("descriptor", [
     {"model": "disclination", "k": 1, "c": 1e308},
     {"model": "disclination", "k": 1e200},

@@ -11,6 +11,7 @@ from defectfield import (
     GridSpec,
     LoopPath,
     NonRationalIndexError,
+    PotentialField,
     UndefinedIndexError,
     WaveParams,
     axial_twist_per_length,
@@ -28,6 +29,8 @@ from defectfield.detect import (
     RigidRotationFitError,
     _circle_azimuths,
     _fit_rotation_step,
+    _plaquette_windings,
+    wrap_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -185,6 +188,110 @@ def test_find_dislocations_pair_conserves_charge():
     assert sum(int(r.index) for r in records) == 0
     plus = [r for r in records if r.index > 0][0]
     assert math.hypot(plus.position[0] + 1.0, plus.position[1]) < 0.1
+
+
+def test_winding_loop_off_grid_or_nan_raises():
+    grid = GridSpec.centered((4.0, 4.0, 1.0), (41, 41, 1))
+    field = sample_scalar(DislocationModel(n=1, k=1.0, omega=1.0), grid, 0.0)
+    with pytest.raises(ValueError, match="leaves the grid"):
+        phase_winding(field, LoopPath.circle(1.5, 0.0, 0.6))
+    points = LoopPath.circle(0.0, 0.0, 1.0, n=16).points.copy()
+    points[5, 1] = np.nan
+    with pytest.raises(ValueError, match="leaves the grid"):
+        phase_winding(field, LoopPath(points))
+
+
+def on_node_cores(seed):
+    """1-3 cores of |n| <= 3 on random interior nodes, at least 6 cells apart.
+
+    Closer opposite +-3 cores make the sampled phase step between two
+    neighbouring nodes exceed pi, so the field itself is under-resolved.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(24, 49))
+    grid = GridSpec.centered((4.0, 4.0, 1.0), (n, n, 1))
+    nodes = []
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = (int(v) for v in rng.integers(1, n - 1, size=2))
+        if all(math.hypot(i - a, j - b) >= 6 for a, b, _ in nodes):
+            nodes.append((i, j, int(rng.choice((-3, -2, -1, 1, 2, 3)))))
+    return grid, [grid.node_position(i, j, 0)[:2] + (charge,) for i, j, charge in nodes]
+
+
+def test_find_dislocations_on_node_cores():
+    for seed in range(40):
+        grid, defects = on_node_cores(seed)
+        records = find_dislocations(vortex_slice(grid, defects), 0)
+        assert sorted((r.position, r.index) for r in records) == sorted(
+            ((x0, y0, 0.0), Fraction(charge)) for x0, y0, charge in defects), seed
+        assert all(r.kind == "dislocation" and r.confidence > 0 for r in records)
+
+
+@pytest.mark.parametrize("n", [-3, -2, -1, 1, 2, 3])
+def test_find_dislocations_centred_core_reported_once(n):
+    grid = GridSpec.centered((8.0, 8.0, 1.0), (33, 33, 1))  # node exactly at origin
+    field = sample_scalar(DislocationModel(n=n, k=1.0, omega=1.0), grid, 0.0)
+    records = find_dislocations(field, 0)
+    assert [(r.position, r.index) for r in records] == [((0.0, 0.0, 0.0), Fraction(n))]
+
+
+def test_find_dislocations_fourfold_on_node_core_falls_back_to_plaquettes():
+    # the 8-node ring steps by exactly pi around n = 4: plaquettes report it
+    grid = GridSpec.centered((4.0, 4.0, 1.0), (33, 33, 1))
+    records = find_dislocations(vortex_slice(grid, [(0.0, 0.0, 4)]), 0)
+    assert records and sum(r.index for r in records) == 4
+
+
+def test_find_dislocations_apertured_vortex_mostly_zero():
+    # exact zeros cover more than half the slice, so the median amplitude is 0
+    grid = GridSpec.centered((4.0, 4.0, 1.0), (64, 64, 1))
+    X, Y, _ = grid.meshgrid()
+    values = np.where(X ** 2 + Y ** 2 < 1.0, (X - 0.1) + 1j * (Y + 0.05), 0.0)
+    assert np.median(np.abs(values)) == 0.0
+    records = find_dislocations(ComplexScalarField(grid, 0.0, values), 0)
+    inside = [r for r in records if math.hypot(r.position[0] - 0.1, r.position[1] + 0.05)
+              <= math.hypot(*grid.spacing[:2])]
+    assert [r.index for r in inside] == [Fraction(1)]
+
+
+def test_find_disclinations_on_node_core_in_mostly_zero_slice():
+    model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
+    grid = GridSpec.centered((4.0, 4.0, 1.0), (65, 65, 1))  # node exactly at origin
+    field = sample_potential(model, grid, 0.0)
+    X, Y, _ = grid.meshgrid()
+    aperture = X ** 2 + Y ** 2 < 1.0
+    zero = np.zeros(grid.dims, dtype=complex)
+    cut = PotentialField(grid, 0.0, np.where(aperture, field.ax, 0.0),
+                         np.where(aperture, field.ay, 0.0), zero, zero)
+    records = find_disclinations(cut, 0)
+    assert [(r.position, r.index) for r in records] == [((0.0, 0.0, 0.0), Fraction(1))]
+
+
+def reference_plaquette_windings(values):
+    dx = wrap_angle(np.diff(np.angle(values), axis=0))
+    dy = wrap_angle(np.diff(np.angle(values), axis=1))
+    total = dx[:, :-1] + dy[1:, :] - dx[:, 1:] - dy[:-1, :]
+    return np.round(total / TWO_PI).astype(int)
+
+
+def test_plaquette_windings_match_reference_formula():
+    rng = np.random.default_rng(7)
+    # real sign flips with both signed zeros: angle(-1 + 0j) = pi, angle(-1 - 0j) = -pi
+    flips = np.array([1.0, -1.0, complex(1.0, -0.0), complex(-1.0, -0.0)])
+    assert np.signbit(flips.imag).sum() == 2
+    quarter = np.concatenate([flips, [1j, -1j, 2.0, 2j, -2.0, -2j]])
+    for _ in range(200):
+        shape = tuple(int(v) for v in rng.integers(2, 24, size=2))
+        slices = [
+            rng.normal(size=shape) + 1j * rng.normal(size=shape),
+            rng.choice(flips, size=shape),
+            np.where(rng.random(shape) < 0.3, 0.0,
+                     rng.normal(size=shape) + 1j * rng.normal(size=shape)),
+            rng.choice(quarter, size=shape),
+        ]
+        for values in slices:
+            np.testing.assert_array_equal(_plaquette_windings(values),
+                                          reference_plaquette_windings(values))
 
 
 def test_find_disclinations_axis_on_node():
