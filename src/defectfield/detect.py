@@ -180,7 +180,7 @@ def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
 
 def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
     """Integer winding of every 2x2 plaquette of a complex slice (CCW about +z)."""
-    phase = np.angle(values2d)
+    phase = np.angle(values2d + 0.0)  # + 0.0 clears signed zeros: angle(-0.0) is pi
     dx = np.diff(phase, axis=0)  # step (i, j) -> (i+1, j)
     dy = np.diff(phase, axis=1)  # step (i, j) -> (i, j+1)
     for d in (dx, dy):
@@ -209,8 +209,10 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     not scanned again. Elsewhere, a plaquette is a candidate when every
     component winds around it. One winding component already encloses its
     own zero; with several, their zeros must coincide, so each corner
-    amplitude minimum must also sit below ``REL_ZERO`` times that
-    component's median.
+    amplitude minimum must also sit below ``REL_ZERO`` times the median of
+    that component's nonzero amplitudes (a slice cut to an aperture is
+    mostly exact zeros), and none passes for a component that is zero
+    everywhere.
     """
     nx, ny = comps[0].shape
     if nx < 2 or ny < 2:
@@ -237,7 +239,8 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
         consumed[i - 1:i + 1, j - 1:j + 1] = True
 
     windings = [_plaquette_windings(c) for c in comps]
-    medians = [float(np.median(a)) for a in amps] if len(amps) > 1 else []
+    nonzero = [a[a > 0] for a in amps] if len(amps) > 1 else []
+    medians = [float(np.median(v)) if v.size else -math.inf for v in nonzero]
     candidates = np.logical_and.reduce([q != 0 for q in windings]) & ~consumed
     for i, j in np.argwhere(candidates):
         if any(a[i:i + 2, j:j + 2].min() > REL_ZERO * m for a, m in zip(amps, medians)):

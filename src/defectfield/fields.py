@@ -302,46 +302,41 @@ def laplacian(field: ComplexScalarField) -> ComplexScalarField:
     return ComplexScalarField(field.grid, field.time, out)
 
 
-def harmonic_factor(model, order: int):
-    """(-i*omega)**order: the factor the order-th time derivative multiplies by.
+def harmonic_factor(model, order: int, dt=None):
+    """The factor the order-th time derivative of exp(-i*omega*t) multiplies by.
 
-    Raises UnsupportedModelError when the model declares no ``omega``.
+    Without ``dt`` it is the closed form (-i*omega)**order. A finite
+    ``dt`` > 0 gives the factor of the central difference with that step:
+    -i*sin(omega*dt)/dt for order 1 and -(2*sin(omega*dt/2)/dt)**2 for
+    order 2. Raises UnsupportedModelError when the model declares no
+    ``omega``, with or without ``dt``.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     omega = getattr(model, "omega", None)
     if omega is None:
         raise UnsupportedModelError(
-            f"{type(model).__name__} declares no omega, so it has no analytic "
-            "time derivative; pass dt for a finite difference")
-    return -1j * omega if order == 1 else -(omega ** 2)
+            f"{type(model).__name__} declares no omega, so it has no time derivative")
+    if dt is None:
+        return -1j * omega if order == 1 else -(omega ** 2)
+    if order == 1:
+        return -1j * math.sin(omega * dt) / dt
+    return -(2.0 * math.sin(omega * dt / 2) / dt) ** 2
 
 
 def time_derivatives(model, x, y, z, t, order: int = 1, dt=None) -> tuple:
     """First or second time derivative of every component of a model.
 
     Every model varies in time as exp(-i*omega*t) and declares ``omega``
-    (0 for static models), so with ``dt=None`` the result is the closed
-    form (-i*omega)**order times the components. A finite ``dt`` > 0 takes
-    the 2-point (order 1) or 3-point (order 2) central difference instead.
-    Returns the four potential components, or a 1-tuple for scalar models.
+    (0 for static models), so the result is one evaluation at t times
+    ``harmonic_factor(model, order, dt)``: the closed form with ``dt=None``,
+    the 2-point (order 1) or 3-point (order 2) central difference with a
+    finite ``dt`` > 0. Returns the four potential components, or a 1-tuple
+    for scalar models.
     """
+    f = harmonic_factor(model, order, dt)
     if hasattr(model, "components"):
-        evaluate = model.components
-    else:
-        def evaluate(x, y, z, t):
-            return (model.value(x, y, z, t),)
-    if dt is None:
-        f = harmonic_factor(model, order)
-        return tuple(f * v for v in evaluate(x, y, z, t))
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    plus = evaluate(x, y, z, t + dt)
-    minus = evaluate(x, y, z, t - dt)
-    if order == 1:
-        return tuple((p - m) / (2.0 * dt) for p, m in zip(plus, minus))
-    mid = evaluate(x, y, z, t)
-    return tuple((p - 2 * m0 + m) / dt ** 2 for p, m0, m in zip(plus, mid, minus))
-
+        return tuple(f * v for v in model.components(x, y, z, t))
+    return (f * model.value(x, y, z, t),)

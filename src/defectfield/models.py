@@ -8,10 +8,10 @@ propagation axis. Every model evaluates at arbitrary space-time points
 and broadcasts over numpy arrays.
 
 Every shipped model varies in time as S(x, y, z) * exp(-i*omega*t) and
-declares ``omega`` (0 for the static ones); ``fields.time_derivatives``
-turns that into closed-form time derivatives. The base classes declare no
-``omega``, so a model that does not declare one has no analytic time
-derivative.
+declares ``omega`` (0 for the static ones); ``fields.harmonic_factor``
+turns that into every time derivative, closed form or central difference.
+The base classes declare no ``omega``, so a model that does not declare
+one has no time derivative.
 """
 
 from __future__ import annotations

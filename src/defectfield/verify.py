@@ -3,10 +3,13 @@
 Every check applies the finite-difference operators to a model sampled on
 a grid and reports interior statistics (nodes at least two cells from
 every boundary, so one-sided boundary stencils never pollute convergence
-orders). Time derivatives come from ``fields.time_derivatives``: the
-closed form from the model's ``omega`` by default, a central difference
-when a time step is given. Refinement studies report the observed order
-log2(residual(h) / residual(h/2)).
+orders). Every model varies in time as exp(-i*omega*t), so every time
+derivative is ``fields.harmonic_factor`` times the values at the sampled
+time: the closed form from the model's ``omega`` by default, the factor
+of a central difference when a time step is given. No check evaluates a
+model at any other time, and the E-field and gauge checks evaluate none
+beyond the field they are given. Refinement studies report the observed
+order log2(residual(h) / residual(h/2)).
 
 The wave operator never holds a sampled grid: ``wave_residual_fields``
 walks x in slabs of SLAB_PLANES planes, evaluates the model on each slab's
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,8 +38,8 @@ from .fields import (
     _diff_array,
     _require_finite,
     curl,
+    divergence,
     harmonic_factor,
-    time_derivatives,
 )
 
 MATCHED = "matched"
@@ -91,21 +93,15 @@ def _report(name: str, grid: GridSpec, arrays) -> ResidualReport:
 def electric_field(field: PotentialField, model, dt=None):
     """E = -grad(Phi) - (1/c) dA/dt as three scalar fields.
 
-    The gradient acts on the sampled Phi; the time derivative comes from
-    the model (analytic by default, central difference when dt is given).
+    Both terms act on the sampled field; the model supplies only ``omega``
+    and ``c``, and dA/dt is ``harmonic_factor(model, 1, dt)`` times A
+    (analytic by default, the central-difference factor when dt is given).
     """
     g = field.grid
-    c = model.c
-    dax, day, daz, _ = time_derivatives(model, *g.open_grid(), field.time, dt=dt)
-    ex = -_diff_array(field.phi, g, 0) - np.asarray(dax, dtype=np.complex128) / c
-    ey = -_diff_array(field.phi, g, 1) - np.asarray(day, dtype=np.complex128) / c
-    ez = -_diff_array(field.phi, g, 2) - np.asarray(daz, dtype=np.complex128) / c
-    t = field.time
-    return (
-        ComplexScalarField(g, t, ex),
-        ComplexScalarField(g, t, ey),
-        ComplexScalarField(g, t, ez),
-    )
+    coef = harmonic_factor(model, 1, dt) / model.c
+    return tuple(
+        ComplexScalarField(g, field.time, -_diff_array(field.phi, g, a) - coef * comp)
+        for a, comp in enumerate((field.ax, field.ay, field.az)))
 
 
 def magnetic_field(field: PotentialField):
@@ -130,30 +126,22 @@ def _matched_dt(field: PotentialField, model) -> float:
 def lorentz_residual(field: PotentialField, model, time_step=MATCHED) -> ResidualReport:
     """Interior statistics of div(A) + (1/c) dPhi/dt.
 
-    ``time_step`` chooses the Phi time derivative: "matched" (default)
-    uses a central difference with the grid-matched step, "analytic" the
-    model's closed form, and a float a central difference with that step.
-    Either way Phi goes through ``time_derivatives`` as a scalar model of
-    its own, so Ax, Ay and Az are dropped as soon as the model returns them.
+    ``time_step`` chooses the Phi time derivative, ``harmonic_factor(model,
+    1, dt)`` times the sampled Phi: "matched" (default) takes the factor of
+    a central difference with the grid-matched step, "analytic" the closed
+    form, and a float the factor of a central difference with that step.
+    The model is not evaluated; it supplies only ``omega`` and ``c``.
     """
-    g = field.grid
-    residual = (
-        _diff_array(field.ax, g, 0)
-        + _diff_array(field.ay, g, 1)
-        + _diff_array(field.az, g, 2)
-    )
     if time_step == MATCHED:
         dt = _matched_dt(field, model)
     elif time_step == ANALYTIC:
         dt = None
-        harmonic_factor(model, 1)  # a model without omega is named in the error
     else:
         dt = float(time_step)
-    phi = SimpleNamespace(omega=getattr(model, "omega", None),
-                          value=lambda x, y, z, t: model.components(x, y, z, t)[3])
-    dphi = time_derivatives(phi, *g.open_grid(), field.time, dt=dt)[0]
-    residual += np.asarray(dphi, dtype=np.complex128) / model.c
-    return _report("lorentz", g, [residual])
+    coef = harmonic_factor(model, 1, dt)
+    residual = divergence(field).values
+    residual += coef * field.phi / model.c
+    return _report("lorentz", field.grid, [residual])
 
 
 def transverse_divergence(field: PotentialField) -> ResidualReport:
@@ -189,11 +177,12 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
     model on its rows of the open grid plus a halo plane each side, checks
     the planes no earlier slab checked for finiteness, applies the second
     difference of ``fields.laplacian`` per axis (x, y, z), subtracts the
-    closed-form time term ``harmonic_factor(2)/c^2 * f`` (or, when dt is
-    given, a 3-point central difference of the model on the slab's own
-    planes) and keeps only its own planes. Each component stays in the
-    model's broadcast shape, so an axis it does not vary along costs
-    nothing. The values equal the whole-grid ``laplacian`` bit for bit.
+    time term ``harmonic_factor(model, 2, dt)/c^2 * f`` (the closed form,
+    or the factor of a 3-point central difference when dt is given) and
+    keeps only its own planes, so each slab is evaluated once, at t, on
+    either path. Each component stays in the model's broadcast shape, so
+    an axis it does not vary along costs nothing. The values equal the
+    whole-grid ``laplacian`` bit for bit.
 
     Without ``reduce`` the slabs fill one grid-sized array per component,
     returned by name. With ``reduce``, nothing is stored and None is
@@ -208,8 +197,7 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
         c = getattr(model, "c", None)
         if c is None:
             raise UnsupportedModelError("model has no wave speed; pass c explicitly")
-    if dt is None:
-        coef = harmonic_factor(model, 2) / c ** 2
+    coef = harmonic_factor(model, 2, dt) / c ** 2
     X, Y, Z = grid.open_grid()
     if hasattr(model, "components"):
         names, what = POTENTIAL_COMPONENTS, ("ax value", "ay value", "az value", "phi value")
@@ -235,19 +223,14 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
             elif checked == 0:
                 _require_finite(f, label)
         checked = h1
-        if dt is not None:
-            second = time_derivatives(model, X[i0:i1], Y, Z, t, order=2, dt=dt)
-        for i, (name, f) in enumerate(zip(names, comps)):
+        for name, f in zip(names, comps):
             lap = work[tuple(slice(n) for n in f.shape)]
             lap.fill(0)
             for a in range(3):
                 _add_second_difference(lap, f, grid, a)
             own = slice(i0 - h0, i1 - h0) if f.shape[0] > 1 else slice(None)
             r = lap[own]
-            if dt is None:
-                r -= coef * f[own]
-            else:
-                r -= np.asarray(second[i], dtype=np.complex128) / c ** 2
+            r -= coef * f[own]
             if reduce is None:
                 out[name][i0:i1] = r
             else:

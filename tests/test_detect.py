@@ -267,6 +267,49 @@ def test_find_disclinations_on_node_core_in_mostly_zero_slice():
     assert [(r.position, r.index) for r in records] == [((0.0, 0.0, 0.0), Fraction(1))]
 
 
+def apertured_disclination(shift, multiply=False):
+    """Disclination slice with Ax, Ay cut to r < 1, origin moved by shift cells."""
+    base = GridSpec.centered((4.0, 4.0, 1.0), (65, 65, 1))
+    dx, dy = base.spacing[:2]
+    grid = GridSpec(base.dims, base.spacing,
+                    (base.origin[0] + shift * dx, base.origin[1] + shift * dy, 0.0))
+    field = sample_potential(DisclinationModel(WaveParams.with_dispersion(k=1.0)), grid, 0.0)
+    X, Y, _ = grid.meshgrid()
+    aperture = X ** 2 + Y ** 2 < 1.0
+    zero = np.zeros(grid.dims, dtype=complex)
+    if multiply:
+        ax, ay = field.ax * aperture, field.ay * aperture
+    else:
+        ax, ay = np.where(aperture, field.ax, 0.0), np.where(aperture, field.ay, 0.0)
+    return PotentialField(grid, 0.0, ax, ay, zero, zero)
+
+
+@pytest.mark.parametrize("shift", [0.37, 0.5, -0.21])
+def test_find_disclinations_off_node_core_in_mostly_zero_slice(shift):
+    # more than half of each component is exactly zero, so the plain median is 0
+    cut = apertured_disclination(shift)
+    assert np.median(np.abs(cut.ax[:, :, 0])) == 0.0
+    records = find_disclinations(cut, 0)
+    assert [r.index for r in records] == [Fraction(1)]
+    assert math.hypot(*records[0].position[:2]) <= math.hypot(*cut.grid.spacing[:2])
+
+
+def test_signed_zeros_of_an_aperture_add_no_windings():
+    # v * False is -0.0 where v has a negative part; angle(-0.0) is pi, not 0
+    grid = GridSpec.centered((4.0, 4.0, 1.0), (64, 64, 1))
+    X, Y, _ = grid.meshgrid()
+    aperture = X ** 2 + Y ** 2 < 1.0
+    v = (X - 0.1) + 1j * (Y + 0.05)
+    multiplied = v * aperture
+    assert np.signbit(multiplied.real[~aperture]).any()
+    assert np.signbit(multiplied.imag[~aperture]).any()
+    assert (find_dislocations(ComplexScalarField(grid, 0.0, multiplied), 0)
+            == find_dislocations(ComplexScalarField(grid, 0.0, np.where(aperture, v, 0.0)), 0))
+    for shift in (0.0, 0.37):
+        assert (find_disclinations(apertured_disclination(shift, multiply=True), 0)
+                == find_disclinations(apertured_disclination(shift), 0))
+
+
 def reference_plaquette_windings(values):
     dx = wrap_angle(np.diff(np.angle(values), axis=0))
     dy = wrap_angle(np.diff(np.angle(values), axis=1))

@@ -102,7 +102,7 @@ class _PotentialWithoutOmega(PotentialModel):
         return (v, 1j * v, 0.0 * v, v)
 
 
-def test_models_without_omega_need_a_time_step():
+def test_models_without_omega_are_unsupported_with_or_without_a_time_step():
     grid = GridSpec.centered((2.0, 2.0, 2.0), (9, 9, 9))
     scalar, potential = _WaveWithoutOmega(), _PotentialWithoutOmega()
     field = sample_potential(potential, grid, 0.0)
@@ -115,10 +115,10 @@ def test_models_without_omega_need_a_time_step():
         electric_field(field, potential)
     with pytest.raises(UnsupportedModelError):
         lorentz_residual(field, potential, time_step="analytic")
-    # a finite-difference time step needs no omega: both sides are -f
+    # a time step selects the central-difference factor, which needs omega too
     for model in (scalar, potential):
-        report = wave_residual(model, grid, 0.0, dt=0.01, c=1.0)
-        assert 0.0 < report.interior_max < 0.05  # O(h^2) spatial error, |f| = 1
+        with pytest.raises(UnsupportedModelError):
+            wave_residual(model, grid, 0.0, dt=0.01, c=1.0)
 
 
 def test_time_step_must_be_positive_and_finite():
@@ -318,15 +318,10 @@ def dense_wave_residual(model, grid, t, dt, c):
     else:
         comps = {"psi": sample_scalar(model, grid, t).values}
     c = model.c if c is None else c
-    if dt is not None:
-        second = time_derivatives(model, *grid.open_grid(), t, order=2, dt=dt)
     out = {}
-    for i, (name, values) in enumerate(comps.items()):
+    for name, values in comps.items():
         r = laplacian(ComplexScalarField(grid, t, values)).values
-        if dt is None:
-            r -= harmonic_factor(model, 2) / c ** 2 * values
-        else:
-            r -= np.asarray(second[i], dtype=np.complex128) / c ** 2
+        r -= harmonic_factor(model, 2, dt) / c ** 2 * values
         out[name] = r
     return out
 
@@ -437,3 +432,60 @@ def test_lorentz_residual_evaluates_phi_alone():
         assert (report.interior_max, report.interior_rms) == expected
     component_bytes = grid.node_count * np.dtype(np.complex128).itemsize
     assert _traced_peak(lambda: lorentz_residual(f, model)) < 4 * component_bytes
+
+
+class _Counting:
+    """Delegates to a model and counts its evaluations."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+        name = "components" if hasattr(model, "components") else "value"
+
+        def evaluate(*args):
+            self.calls += 1
+            return getattr(model, name)(*args)
+
+        setattr(self, name, evaluate)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_time_step_matches_literal_central_difference(kind):
+    model = _Counting(MODEL_KINDS[kind]())
+    grid = GridSpec.centered((3.0, 2.5, 2.0), (7, 6, 5))
+    X, Y, Z = grid.open_grid()
+    eps = np.finfo(float).eps
+
+    def evaluate(t):
+        comps = (model.model.components(X, Y, Z, t) if hasattr(model, "components")
+                 else (model.model.value(X, Y, Z, t),))
+        return [np.broadcast_to(np.asarray(v, dtype=complex), grid.dims) for v in comps]
+
+    for t, dt in ((0.0, 1e-3), (0.7, 1e-2), (-2.3, 0.1), (1.9, 0.5)):
+        minus, mid, plus = evaluate(t - dt), evaluate(t), evaluate(t + dt)
+        scale = max(float(np.abs(v).max()) for v in minus + mid + plus)
+        literal = {1: [(p - m) / (2.0 * dt) for p, m in zip(plus, minus)],
+                   2: [(p - 2.0 * c + m) / dt ** 2 for p, c, m in zip(plus, mid, minus)]}
+        for order in (1, 2):
+            # rounding of the literal difference: a few eps*|f| over dt**order
+            tol = 8.0 * eps * scale / dt ** order
+            model.calls = 0
+            stepped = time_derivatives(model, X, Y, Z, t, order=order, dt=dt)
+            assert model.calls == 1
+            assert len(stepped) == len(literal[order])
+            for got, want in zip(stepped, literal[order]):
+                assert np.max(np.abs(got - want)) <= tol, (order, t, dt)
+
+
+def test_lorentz_and_electric_field_never_evaluate_the_model():
+    model = _Counting(disclination(k=1.1, az=0.7 - 0.4j))
+    grid = box_grid(k=1.1, n=17)
+    f = sample_potential(model, grid, 0.3)
+    assert model.calls == 1
+    for time_step in ("matched", "analytic", 0.01):
+        lorentz_residual(f, model, time_step=time_step)
+    electric_field(f, model)
+    electric_field(f, model, dt=0.01)
+    assert model.calls == 1
