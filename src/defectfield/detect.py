@@ -207,12 +207,13 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     8-node ring around it, is an on-node zero: it is indexed by the winding
     of the first component around the ring, and its four plaquettes are
     not scanned again. Elsewhere, a plaquette is a candidate when every
-    component winds around it. One winding component already encloses its
-    own zero; with several, their zeros must coincide, so each corner
-    amplitude minimum must also sit below ``REL_ZERO`` times the median of
-    that component's nonzero amplitudes (a slice cut to an aperture is
-    mostly exact zeros), and none passes for a component that is zero
-    everywhere.
+    component winds around it and each corner at or below the floor is such
+    an on-node zero (the exact zeros on an aperture's rim have no phase).
+    One winding component already encloses its own zero; with several,
+    their zeros must coincide, so each corner amplitude minimum must also
+    sit below ``REL_ZERO`` times the median of that component's nonzero
+    amplitudes (a slice cut to an aperture is mostly exact zeros), and none
+    passes for a component that is zero everywhere.
     """
     nx, ny = comps[0].shape
     if nx < 2 or ny < 2:
@@ -223,7 +224,8 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     records = []
     consumed = np.zeros((nx - 1, ny - 1), dtype=bool)
 
-    on_node = np.logical_and.reduce([a <= floor for a in amps])[1:-1, 1:-1]
+    low = np.logical_and.reduce([a <= floor for a in amps])
+    on_node = low[1:-1, 1:-1].copy()
     clear = amps[0] > floor
     for di, dj in _RING[:-1]:
         on_node &= clear[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj]
@@ -241,9 +243,11 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     windings = [_plaquette_windings(c) for c in comps]
     nonzero = [a[a > 0] for a in amps] if len(amps) > 1 else []
     medians = [float(np.median(v)) if v.size else -math.inf for v in nonzero]
+    low[1:-1, 1:-1] &= ~on_node
     candidates = np.logical_and.reduce([q != 0 for q in windings]) & ~consumed
     for i, j in np.argwhere(candidates):
-        if any(a[i:i + 2, j:j + 2].min() > REL_ZERO * m for a, m in zip(amps, medians)):
+        if low[i:i + 2, j:j + 2].any() or any(
+                a[i:i + 2, j:j + 2].min() > REL_ZERO * m for a, m in zip(amps, medians)):
             continue
         records.append(DefectRecord(kind, _plaquette_centroid(grid, i, j, z_slice),
                                     Fraction(int(windings[0][i, j])),

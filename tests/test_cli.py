@@ -217,6 +217,18 @@ def test_forms_demos(capsys):
     assert stokes["max_relative_residual"] <= 1e-12
 
 
+def test_forms_stokes_report_is_deterministic_and_exact(tmp_path):
+    for nodes in (2, 3, 64):
+        paths = [tmp_path / f"stokes-{nodes}-{k}.json" for k in range(2)]
+        for path in paths:
+            assert main(["forms", "--demo", "stokes", "--nodes", str(nodes), "--pairs", "50",
+                         "--seed", "7", "--out", str(path)]) == EXIT_OK
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        report = json.loads(paths[0].read_text())
+        assert (report["nodes"], report["seed"], report["pairs"]) == (nodes, 7, 50)
+        assert 0.0 <= report["max_relative_residual"] <= 1e-12
+
+
 def test_forms_rejects_bad_numbers(capsys):
     for argv in (["--demo", "period", "--radius", "nan"],
                  ["--demo", "period", "--radius", "inf"],

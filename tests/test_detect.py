@@ -254,6 +254,17 @@ def test_find_dislocations_apertured_vortex_mostly_zero():
     assert [r.index for r in inside] == [Fraction(1)]
 
 
+def test_find_dislocations_aperture_rim_adds_no_records():
+    # rim plaquettes mix exact zeros (phase 0) with values of phase near pi
+    grid = GridSpec.centered((4.0, 4.0, 1.0), (64, 64, 1))
+    X, Y, _ = grid.meshgrid()
+    values = np.where(X ** 2 + Y ** 2 < 1.0, (X - 0.1) + 1j * (Y + 0.05), 0.0)
+    records = find_dislocations(ComplexScalarField(grid, 0.0, values), 0)
+    assert [r.index for r in records] == [Fraction(1)]
+    assert math.hypot(records[0].position[0] - 0.1, records[0].position[1] + 0.05) \
+        <= math.hypot(*grid.spacing[:2])
+
+
 def test_find_disclinations_on_node_core_in_mostly_zero_slice():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
     grid = GridSpec.centered((4.0, 4.0, 1.0), (65, 65, 1))  # node exactly at origin

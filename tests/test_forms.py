@@ -157,6 +157,22 @@ def test_stokes_residual_sweep():
     assert worst <= 1e-12
 
 
+def test_stokes_residual_rejects_what_its_two_evaluations_reject():
+    cx, other = CubicalComplex(5, 4), CubicalComplex(5, 4)
+    edge_form = DiscreteForm(cx, 1, np.ones(cx.n_edges))
+    for form, chain in ((DiscreteForm(cx, 2, np.ones(cx.n_faces)), Chain(cx, 2, {0: 1})),
+                        (DiscreteForm(cx, 0, np.ones(cx.n_vertices)), Chain(cx, 0, {0: 1})),
+                        (DiscreteForm(cx, 0, np.ones(cx.n_vertices)), Chain(cx, 2, {0: 1})),
+                        (edge_form, Chain(cx, 1, {0: 1}))):
+        with pytest.raises(DegreeError):
+            stokes_residual(form, chain)
+    with pytest.raises(ValueError, match="different complexes"):
+        stokes_residual(edge_form, Chain(other, 2, {0: 1}))
+    with pytest.raises(DegreeError):
+        cx.lower_cells(0, [0])
+    assert stokes_residual(edge_form, Chain(cx, 2, {})) == 0.0
+
+
 def test_period_integral_of_exact_form():
     # d(x^2) has components (2x, 0); every cycle integral vanishes
     cycle = ParametricCycle.star(r0=1.3, harmonics=[(3, 0.2, 0.4), (5, 0.1, 1.0)])

@@ -1,9 +1,21 @@
-"""Chain boundary and evaluation against a cell-by-cell reference walk."""
+"""Chain boundary, evaluation and the Stokes residual against reference computations
+over the whole complex: a cell-by-cell walk, the transposed incidence matrices, and
+the meshgrid construction of those matrices."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from defectfield import Chain, CubicalComplex, DiscreteForm, annulus_complex, boundary, evaluate
+from defectfield import (
+    Chain,
+    CubicalComplex,
+    DiscreteForm,
+    annulus_complex,
+    boundary,
+    coboundary,
+    evaluate,
+    stokes_residual,
+)
 from defectfield.forms import hole_cycle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -52,6 +64,49 @@ def chains(draw):
     return Chain(cx, degree, coeffs)
 
 
+@st.composite
+def summed_chains(draw):
+    """A chain summed from single cells, so cells repeat and may cancel; may be empty."""
+    cx = draw(complexes())
+    degree = draw(st.sampled_from([1, 2]))
+    chain = Chain(cx, degree, {})
+    terms = draw(st.lists(st.tuples(st.integers(0, cx.n_cells(degree) - 1),
+                                    st.integers(-3, 3)), max_size=12))
+    for cell, coef in terms:
+        chain = chain + Chain(cx, degree, {cell: coef})
+        if draw(st.booleans()):   # the same cell again, sometimes cancelling it
+            chain = chain + Chain(cx, degree, {cell: draw(st.sampled_from([-coef, coef]))})
+    return chain
+
+
+def meshgrid_incidence(cx):
+    """d0 and d1 built from meshgrids of node indices and converted from COO."""
+    nx, ny = cx.nx, cx.ny
+    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
+    xe = cx.xedge_index(i.ravel(), j.ravel())
+    xt = cx.vertex_index(i.ravel(), j.ravel())
+    xh = cx.vertex_index(i.ravel() + 1, j.ravel())
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
+    ye = cx.yedge_index(i.ravel(), j.ravel())
+    yt = cx.vertex_index(i.ravel(), j.ravel())
+    yh = cx.vertex_index(i.ravel(), j.ravel() + 1)
+    data = np.concatenate([-np.ones_like(xe), np.ones_like(xe),
+                           -np.ones_like(ye), np.ones_like(ye)])
+    d0 = sparse.csr_matrix((data, (np.concatenate([xe, xe, ye, ye]),
+                                   np.concatenate([xt, xh, yt, yh]))),
+                           shape=(cx.n_edges, cx.n_vertices), dtype=np.int64)
+    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
+    i, j = i.ravel(), j.ravel()
+    f = cx.face_index(i, j)
+    cols = np.concatenate([cx.xedge_index(i, j), cx.yedge_index(i + 1, j),
+                           cx.xedge_index(i, j + 1), cx.yedge_index(i, j)])
+    ones = np.ones_like(f)
+    d1 = sparse.csr_matrix((np.concatenate([ones, ones, -ones, -ones]),
+                            (np.concatenate([f, f, f, f]), cols)),
+                           shape=(cx.n_faces, cx.n_edges), dtype=np.int64)
+    return d0, d1
+
+
 @SETTINGS
 @hypothesis.given(chains(), st.randoms(use_true_random=False))
 def test_boundary_and_evaluate_match_reference_walk(chain, rnd):
@@ -94,3 +149,54 @@ def test_hole_cycle_matches_reference_walk(nx, ny, data):
     cycle = hole_cycle(cx)
     assert cycle.coeffs == reference_boundary(cx, 2, missing)
     assert boundary(cycle).coeffs == {}
+
+
+@SETTINGS
+@hypothesis.given(complexes())
+def test_incidence_matrices_match_meshgrid_construction(cx):
+    for built, reference in zip((cx.d0, cx.d1), meshgrid_incidence(cx)):
+        assert built.shape == reference.shape and built.dtype == reference.dtype
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(built, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@SETTINGS
+@hypothesis.given(complexes(), st.sampled_from([1, 2]), st.data())
+def test_lower_cells_are_the_incidence_rows(cx, degree, data):
+    cells = data.draw(st.lists(st.integers(0, cx.n_cells(degree) - 1), min_size=1, max_size=8))
+    cells += cells[:2]   # a repeated cell gives a repeated row
+    lower, signs = cx.lower_cells(degree, cells)
+    rows = (cx.d0 if degree == 1 else cx.d1)[cells].toarray()
+    for k in range(len(cells)):
+        assert np.all(np.diff(lower[k]) > 0)
+        want = np.zeros(cx.n_cells(degree - 1), dtype=np.int64)
+        want[lower[k]] = signs
+        assert np.array_equal(rows[k], want)
+
+
+@SETTINGS
+@hypothesis.given(summed_chains())
+def test_boundary_matches_whole_complex_product(chain):
+    cx, degree = chain.cx, chain.degree
+    transposed = (cx.d0 if degree == 1 else cx.d1).T.tocsr()
+    coefs = np.zeros(transposed.shape[1], dtype=np.int64)
+    coefs[list(chain.coeffs)] = list(chain.coeffs.values())
+    product = transposed @ coefs
+    cells = np.flatnonzero(product)
+    edges = boundary(chain)
+    assert list(edges.coeffs) == cells.tolist()   # ascending
+    assert list(edges.coeffs.values()) == product[cells].tolist()
+
+
+@SETTINGS
+@hypothesis.given(summed_chains(), st.integers(0, 2 ** 32 - 1), st.floats(-8, 8))
+def test_stokes_residual_is_the_whole_complex_difference(chain, seed, exponent):
+    # bit for bit: the chain-local sum follows coboundary's order within each row
+    cx, degree = chain.cx, chain.degree
+    rng = np.random.default_rng(seed)
+    form = DiscreteForm(cx, degree - 1,
+                        rng.standard_normal(cx.n_cells(degree - 1)) * 10.0 ** exponent)
+    want = evaluate(coboundary(form), chain) - evaluate(form, boundary(chain))
+    got = stokes_residual(form, chain)
+    assert got == want and np.signbit(got) == np.signbit(want)
