@@ -10,6 +10,7 @@ usage or input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -405,7 +406,11 @@ def cmd_report(args) -> int:
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_CLAIM_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process, at the first main() call: parsing leaves no state
+    # in the parser, and each set_defaults(func=...) binds its cmd_* function
+    # at this build, so replacing cli.cmd_* afterwards does not reach main()
     parser = argparse.ArgumentParser(
         prog="defectfield",
         description="Generate singular wave fields, detect their defects, "
@@ -469,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -181,14 +181,13 @@ def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
 def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
     """Integer winding of every 2x2 plaquette of a complex slice (CCW about +z)."""
     phase = np.angle(values2d + 0.0)  # + 0.0 clears signed zeros: angle(-0.0) is pi
-    dx = np.diff(phase, axis=0)  # step (i, j) -> (i+1, j)
-    dy = np.diff(phase, axis=1)  # step (i, j) -> (i, j+1)
-    for d in (dx, dy):
-        # steps of two angles in [-pi, pi] lie in [-2*pi, 2*pi]: one shift wraps them
-        d[d > math.pi] -= TWO_PI
-        d[d <= -math.pi] += TWO_PI
-    total = dx[:, :-1] + dy[1:, :] - dx[:, 1:] - dy[:-1, :]
-    return np.round(total / TWO_PI).astype(int)
+    # steps (i, j) -> (i+1, j) and (i, j) -> (i, j+1) of two angles in [-pi, pi]
+    # lie in [-2*pi, 2*pi], so at most one 2*pi shift wraps each into (-pi, pi].
+    # The raw steps around a plaquette telescope to zero: its winding is the
+    # signed count of the shifts of its wrapped steps.
+    sx, sy = ((d <= -math.pi).view(np.int8) - (d > math.pi).view(np.int8)
+              for d in (np.diff(phase, axis=0), np.diff(phase, axis=1)))
+    return (sx[:, :-1] + sy[1:, :] - sx[:, 1:] - sy[:-1, :]).astype(int)
 
 
 def _plaquette_centroid(grid: GridSpec, i: int, j: int, k: int):
@@ -241,8 +240,9 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
         consumed[i - 1:i + 1, j - 1:j + 1] = True
 
     windings = [_plaquette_windings(c) for c in comps]
-    nonzero = [a[a > 0] for a in amps] if len(amps) > 1 else []
-    medians = [float(np.median(v)) if v.size else -math.inf for v in nonzero]
+    nonzero = [a[a > 0] for a in amps] if len(amps) > 1 else []  # fresh copies
+    medians = [float(np.median(v, overwrite_input=True)) if v.size else -math.inf
+               for v in nonzero]
     low[1:-1, 1:-1] &= ~on_node
     candidates = np.logical_and.reduce([q != 0 for q in windings]) & ~consumed
     for i, j in np.argwhere(candidates):

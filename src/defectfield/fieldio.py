@@ -8,9 +8,10 @@ manifest's directory; it may contain ``..`` (``save_field`` writes one when
 the binary sits elsewhere) or be absolute. The round trip is bit exact.
 
 ``load_field`` memory-maps the binary. It checks the size and the
-finiteness of the whole file, one z slab at a time, and then copies out
-either every slice or only the one z slice a caller asks for, so detecting
-on one slice does not decode the whole volume.
+finiteness of the whole file, by one exact max/min reduction per z slab (both
+propagate NaN and reach +-inf), and then copies out either every slice or
+only the one z slice a caller asks for, so detecting on one slice does not
+decode the whole volume.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ComplexScalarField, GridSpec, PotentialField, _require_finite
+from .fields import (ComplexScalarField, GridSpec, PotentialField, _all_finite,
+                     _require_finite)
 
 FORMAT_VERSION = 1
 
@@ -60,7 +62,8 @@ def save_field(field, manifest_path, data_path=None):
 def load_field(manifest_path, z_slice=None):
     """Read a manifest and its binary; returns the reconstructed field.
 
-    With ``z_slice`` = k the whole file is still checked, but only slice k
+    With ``z_slice`` = k the whole file is still checked for NaN and +-inf,
+    by one max/min reduction per z slab of each component, but only slice k
     is copied: the result lives on the one-slice grid whose origin is node
     (0, 0, k) of the file's grid, so positions found on it are those found
     on slice k of the full field.
@@ -89,12 +92,14 @@ def load_field(manifest_path, z_slice=None):
         size = data_path.stat().st_size
         if size != expected:
             raise ValueError(f"field data {data_path} has {size} bytes, expected {expected}")
-        data = np.memmap(data_path, dtype="<c16", mode="r", shape=(len(names), nz, ny, nx))
+        # a plain ndarray view: a memmap slab costs more to slice than to check
+        data = np.asarray(np.memmap(data_path, dtype="<c16", mode="r",
+                                    shape=(len(names), nz, ny, nx)))
     except OSError as exc:
         raise ValueError(f"unreadable field data {data_path}: {exc}") from exc
     # a node is finite when its re and im parts both are
     for name, component, parts in zip(names, data, data.view("<f8")):
-        if not all(np.isfinite(slab).all() for slab in parts):
+        if not all(_all_finite(slab) for slab in parts):
             # reports the first non-finite node in (i, j, k) order
             _require_finite(component.transpose(2, 1, 0), f"{name} value")
     if z_slice is not None:

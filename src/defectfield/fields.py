@@ -122,11 +122,26 @@ class SpaceTimePoint:
         return math.pi if th == -math.pi else th
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether an array holds no NaN and no +-inf.
+
+    Maximum and minimum propagate NaN and reach +-inf (``fmax``/``fmin`` skip
+    NaN), so both reductions are finite exactly when every value is. They run
+    on a no-copy float64 view of a contiguous float64 or complex128 array and
+    need no per-element mask; any other array takes ``isfinite``.
+    """
+    if values.dtype in (np.float64, np.complex128) and (
+            values.flags.c_contiguous or values.flags.f_contiguous):
+        flat = values.ravel(order="K").view(np.float64)
+        return flat.size == 0 or bool(
+            np.isfinite(np.maximum.reduce(flat)) and np.isfinite(np.minimum.reduce(flat)))
+    return bool(np.isfinite(values).all())
+
+
 def _require_finite(values: np.ndarray, what: str, x0: int = 0) -> None:
     """Raise SamplingError at the first non-finite node; x0 offsets the x index."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, j, k = (int(v) for v in np.argwhere(~finite)[0])
+    if not _all_finite(values):
+        i, j, k = (int(v) for v in np.argwhere(~np.isfinite(values))[0])
         raise SamplingError(f"non-finite {what} at node {(i + x0, j, k)}")
 
 

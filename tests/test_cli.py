@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from defectfield import load_field
+from defectfield import cli, load_field
 from defectfield.cli import (
     EXIT_CLAIM_FAILURE,
     EXIT_OK,
@@ -340,3 +340,29 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["generate"])  # missing required flags
     assert err.value.code == EXIT_USAGE
+
+
+def test_main_reuses_its_parser_without_carrying_values_over(tmp_path, capsys):
+    # main() parses with one parser per process; no value may leak between calls
+    field = tmp_path / "field.json"
+    assert main(["generate", "--model", DISLOCATION, "--dims", "12,12,2",
+                 "--out", str(field)]) == EXIT_OK
+    saved = tmp_path / "detect.json"
+    assert main(["detect", "--field", str(field), "--slice", "1",
+                 "--out", str(saved)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["detect", "--field", str(field), "--slice", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == saved.read_text()
+    assert main(["verify", "--model", DISCLINATION, "--dims", "9", "--refinements", "1",
+                 "--out", str(tmp_path / "verify.csv")]) in (EXIT_OK, EXIT_CLAIM_FAILURE)
+    again = tmp_path / "again.json"
+    assert main(["generate", "--model", DISLOCATION, "--dims", "5,5,2",
+                 "--out", str(again)]) == EXIT_OK
+    run = json.loads((tmp_path / "again.json.run.json").read_text())
+    assert run["parameters"]["extent"] == "6.0"
+    assert json.loads(again.read_text())["spacing"] == [1.5, 1.5, 6.0]
+    for argv in (["--help"], ["detect", "--help"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_OK
+    assert cli.build_parser() is cli.build_parser()

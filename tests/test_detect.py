@@ -348,6 +348,51 @@ def test_plaquette_windings_match_reference_formula():
                                           reference_plaquette_windings(values))
 
 
+def float_plaquette_windings(values2d):
+    """The float form _plaquette_windings replaced: wrapped steps summed, then rounded."""
+    phase = np.angle(values2d + 0.0)
+    dx = np.diff(phase, axis=0)
+    dy = np.diff(phase, axis=1)
+    for d in (dx, dy):
+        d[d > math.pi] -= TWO_PI
+        d[d <= -math.pi] += TWO_PI
+    total = dx[:, :-1] + dy[1:, :] - dx[:, 1:] - dy[:-1, :]
+    return np.round(total / TWO_PI).astype(int)
+
+
+def test_plaquette_windings_equal_the_float_formula():
+    rng = np.random.default_rng(11)
+    zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0)])
+    # the negative real axis, where the phase is exactly pi, with both signed zeros
+    axis = np.array([-1.0, complex(-1.0, -0.0), -2.5, complex(-0.5, 0.0), 1.0, 1j, -1j])
+    charges = (-3, -2, -1, 1, 2, 3)
+    for _ in range(100):
+        nx, ny = (int(v) for v in rng.integers(2, 30, size=2))
+        normal = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
+        slices = [
+            normal,
+            np.where(rng.random((nx, ny)) < 0.4, rng.choice(zeros, size=(nx, ny)), normal),
+            rng.choice(axis, size=(nx, ny)),
+            np.where(rng.random((nx, ny)) < 0.5, rng.choice(axis, size=(nx, ny)), normal),
+        ]
+        grid = GridSpec((nx, ny, 1), (1.0, 1.0, 1.0))
+        # |n| <= 3 cores on nodes, at plaquette centres and anywhere
+        for offset in (0.0, 0.5, float(rng.uniform(0.0, 1.0))):
+            cores = [(int(rng.integers(0, nx)) + offset, int(rng.integers(0, ny)) + offset,
+                      int(rng.choice(charges))) for _ in range(int(rng.integers(1, 4)))]
+            slices.append(vortex_slice(grid, cores).values[:, :, 0])
+        for values in slices:
+            expected = float_plaquette_windings(values)
+            windings = _plaquette_windings(values)
+            assert windings.dtype == expected.dtype
+            np.testing.assert_array_equal(windings, expected)
+    grid = GridSpec((12, 12, 1), (1.0, 1.0, 1.0))
+    for offset in (0.0, 0.5):
+        for n in charges:
+            values = vortex_slice(grid, [(5 + offset, 5 + offset, n)]).values[:, :, 0]
+            # all plaquettes together wind as the slice's border does
+            assert _plaquette_windings(values).sum() == n
+
 def test_find_disclinations_axis_on_node():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
     grid = GridSpec.centered((4.0, 4.0, 1.0), (41, 41, 1))  # node exactly at origin

@@ -1,7 +1,9 @@
-"""Field files: slice reads, the on-disk encoding, and fuzzed manifests."""
+"""Field files: slice reads, the on-disk encoding, fuzzed manifests and the
+finiteness check."""
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from defectfield import (
     save_field,
 )
 from defectfield.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from defectfield.fields import _all_finite, _require_finite
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -192,3 +195,83 @@ def test_non_finite_value_outside_the_slice_exits_usage(node, part, bad, z_slice
     values.view(np.float64).reshape(DIMS[2], DIMS[1], DIMS[0], 2)[k, j, i, part] = bad
     with tempfile.TemporaryDirectory() as tmp:
         assert _detect(tmp, data=values.astype("<c16").tobytes(), z_slice=z_slice) == EXIT_USAGE
+
+
+# --- the finiteness check ----------------------------------------------------
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# finite extremes a max/min reduction must pass: the largest magnitudes,
+# subnormals and -0.0
+FINITE_EDGES = (np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324,
+                np.finfo(float).tiny / 3, -0.0)
+# small n-d shapes, empty ones included, and 1-d lengths that straddle
+# several multiples of the SIMD width and of its unrolled blocks
+SHAPES = st.one_of(st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple),
+                   st.integers(0, 130).map(lambda n: (n,)))
+LAYOUTS = ("C", "F", "strided")
+
+
+def _layout(values, layout):
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        # every other element along the last axis: neither C- nor F-contiguous
+        wide = np.zeros(values.shape[:-1] + (2 * values.shape[-1],), values.dtype)
+        wide[..., ::2] = values
+        return wide[..., ::2]
+    return np.ascontiguousarray(values)
+
+
+@st.composite
+def finiteness_cases(draw):
+    dtype = draw(st.sampled_from((np.float64, np.complex128)))
+    shape = draw(SHAPES)
+    size = math.prod(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = rng.normal(size=(size, 2)) * draw(st.sampled_from((1e-300, 1.0, 1e300)))
+    if size:
+        index = st.one_of(st.just(0), st.just(size - 1), st.integers(0, size - 1))
+        planted = st.tuples(index, st.integers(0, 1 if dtype is np.complex128 else 0),
+                            st.sampled_from(FINITE_EDGES + NON_FINITE))
+        for i, part, value in draw(st.lists(planted, max_size=3)):
+            parts[i, part] = value
+    # a view, not re + 1j * im: 1j * inf has a NaN real part
+    values = parts.view(np.complex128)[:, 0] if dtype is np.complex128 else parts[:, 0]
+    return _layout(values.reshape(shape), draw(st.sampled_from(LAYOUTS)))
+
+
+@SETTINGS
+@hypothesis.given(finiteness_cases())
+def test_all_finite_matches_isfinite(values):
+    assert _all_finite(values) == bool(np.isfinite(values).all())
+
+
+def test_all_finite_passes_finite_extremes_and_catches_each_non_finite_value():
+    for dtype in (np.float64, np.complex128):
+        edges = np.array(FINITE_EDGES * 5, dtype=dtype)
+        assert _all_finite(edges) and _all_finite(edges.reshape(5, 6, order="F"))
+        assert _all_finite(np.empty((0, 3), dtype=dtype))
+        for bad in NON_FINITE:
+            for i in (0, 17, edges.size - 1):
+                for part in ("real", "imag")[:1 + (dtype is np.complex128)]:
+                    values = edges.copy()
+                    getattr(values, part)[i] = bad
+                    assert not _all_finite(values), (dtype, bad, i, part)
+
+
+@SETTINGS
+@hypothesis.given(st.tuples(*(st.integers(1, 5) for _ in range(3))),
+                  st.sampled_from(LAYOUTS), st.data())
+def test_sampling_error_names_the_first_non_finite_node(dims, layout, data):
+    nodes = data.draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in dims)),
+                               min_size=1, max_size=3))
+    values = np.full(dims, 1.0 + 0.5j)
+    for node in nodes:
+        part = data.draw(st.sampled_from(("real", "imag")))
+        getattr(values, part)[node] = data.draw(st.sampled_from(NON_FINITE))
+    # (i, j, k) order, whatever the memory layout
+    expected = re.escape(f"non-finite scalar value at node {min(nodes)}")
+    with pytest.raises(SamplingError, match=expected):
+        _require_finite(_layout(values, layout), "scalar value")
+    with pytest.raises(SamplingError, match=expected):
+        ComplexScalarField(GridSpec(dims, (1.0, 1.0, 1.0)), 0.0, _layout(values, layout))
