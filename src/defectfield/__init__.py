@@ -62,7 +62,6 @@ from .ledger import (
     total_energy,
 )
 from .models import (
-    ConstantPotential,
     ConstantScalar,
     DisclinationModel,
     DislocationModel,
@@ -71,14 +70,12 @@ from .models import (
     PotentialModel,
     ProductSineModel,
     PureGaugeModel,
-    RigidRotationPotential,
     ScalarModel,
     TimeHarmonicScalar,
     UnsupportedModelError,
     WaveParams,
     azimuth_beta,
     model_from_descriptor,
-    model_to_descriptor,
     phase_chi,
     strip_scalar_potential,
 )

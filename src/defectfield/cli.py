@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,32 +25,22 @@ EXIT_CLAIM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to each command's output."""
-
-    command: str
-    inputs: list
-    parameters: dict
-    outputs: list
-    version: str
-    duration_s: float
-
 
 def _write_run_manifest(out_path: Path, command: str, inputs, parameters, outputs,
                         started: float) -> None:
+    """Write the reproducibility record ``<out_path>.run.json`` next to an output."""
     from . import __version__
 
-    manifest = RunManifest(
-        command=command,
-        inputs=[str(p) for p in inputs],
-        parameters=parameters,
-        outputs=[str(p) for p in outputs],
-        version=__version__,
-        duration_s=time.perf_counter() - started,
-    )
+    manifest = {
+        "command": command,
+        "inputs": [str(p) for p in inputs],
+        "parameters": parameters,
+        "outputs": [str(p) for p in outputs],
+        "version": __version__,
+        "duration_s": time.perf_counter() - started,
+    }
     path = Path(str(out_path) + ".run.json")
-    path.write_text(json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_triple(text: str, cast):
@@ -132,7 +121,7 @@ def cmd_detect(args) -> int:
     else:
         records = detect.find_dislocations(field, 0)
     report = {
-        "field": str(args.field),
+        "field": Path(args.field).name,
         "slice": args.slice,
         "defects": [
             {
@@ -334,6 +323,8 @@ def cmd_ledger(args) -> int:
     from . import ledger
 
     units = ledger.UNIT_SYSTEMS[args.units]
+    if args.wavelength is not None and args.nu is not None:
+        raise ValueError("ledger takes --nu or --wavelength, not both")
     if args.wavelength is not None:
         led = ledger.PhotonLedger.from_wavelength(args.wavelength, units)
     elif args.nu is not None:

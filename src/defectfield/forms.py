@@ -312,14 +312,13 @@ def closed_not_exact_witness(form: DiscreteForm):
 class ParametricCycle:
     """Smooth closed plane curve gamma: [0, 1] -> R^2 with a sample count.
 
-    ``curve`` maps an array of parameters to (x, y) arrays; ``derivative``
-    optionally supplies d(x, y)/ds. Without it, tangents are computed
-    spectrally from the periodic samples.
+    ``curve`` maps an array of parameters to (x, y) arrays; the required
+    ``derivative`` maps them to d(x, y)/ds.
     """
 
     curve: object
+    derivative: object
     samples: int = 256
-    derivative: object = None
 
     def __post_init__(self):
         if self.samples < 16:
@@ -342,52 +341,7 @@ class ParametricCycle:
         def derivative(s):
             return -radius * w * np.sin(w * s), radius * w * np.cos(w * s)
 
-        return cls(curve, samples, derivative)
-
-    @classmethod
-    def star(cls, cx: float = 0.0, cy: float = 0.0, r0: float = 1.0,
-             harmonics=(), turns: int = 1, samples: int = 256) -> "ParametricCycle":
-        """Star-shaped cycle r(phi) = r0 * (1 + sum_j amp*cos(j*phi + phase))."""
-        w = TWO_PI * turns
-        harmonics = tuple((int(j), float(a), float(p)) for j, a, p in harmonics)
-
-        def radius(phi):
-            r = np.full_like(phi, r0, dtype=float)
-            for j, a, p in harmonics:
-                r += r0 * a * np.cos(j * phi + p)
-            return r
-
-        def dradius(phi):
-            dr = np.zeros_like(phi, dtype=float)
-            for j, a, p in harmonics:
-                dr -= r0 * a * j * np.sin(j * phi + p)
-            return dr
-
-        def curve(s):
-            phi = w * s
-            r = radius(phi)
-            return cx + r * np.cos(phi), cy + r * np.sin(phi)
-
-        def derivative(s):
-            phi = w * s
-            r = radius(phi)
-            dr = dradius(phi)
-            dx = (dr * np.cos(phi) - r * np.sin(phi)) * w
-            dy = (dr * np.sin(phi) + r * np.cos(phi)) * w
-            return dx, dy
-
-        return cls(curve, samples, derivative)
-
-
-def _fft_tangent(x: np.ndarray, y: np.ndarray):
-    m = len(x)
-    modes = np.fft.fftfreq(m) * m
-    mult = 2j * math.pi * modes
-    if m % 2 == 0:
-        mult[m // 2] = 0.0
-    dx = np.real(np.fft.ifft(mult * np.fft.fft(x)))
-    dy = np.real(np.fft.ifft(mult * np.fft.fft(y)))
-    return dx, dy
+        return cls(curve, derivative, samples)
 
 
 def period_integral(ax, ay, cycle: ParametricCycle, singularities=()) -> float:
@@ -407,10 +361,7 @@ def period_integral(ax, ay, cycle: ParametricCycle, singularities=()) -> float:
                 raise SingularityProximityError(
                     f"cycle passes within {float(dist.min()):.2e} of singular point ({px}, {py})"
                 )
-        if cycle.derivative is not None:
-            dx, dy = cycle.derivative(s)
-        else:
-            dx, dy = _fft_tangent(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        dx, dy = cycle.derivative(s)
         return float(np.sum(ax(x, y) * dx + ay(x, y) * dy) / m)
 
     m = cycle.samples
@@ -468,5 +419,5 @@ def ws_integral(energy: float, frequency: float, mass: float) -> float:
         return (TWO_PI * q_amp * np.cos(TWO_PI * s),
                 -TWO_PI * p_amp * np.sin(TWO_PI * s))
 
-    cycle = ParametricCycle(curve, 64, derivative)
+    cycle = ParametricCycle(curve, derivative, 64)
     return period_integral(lambda q, p: p, lambda q, p: np.zeros_like(q), cycle)

@@ -307,34 +307,6 @@ class PureGaugeModel(PotentialModel):
 
 
 @dataclass(frozen=True)
-class RigidRotationPotential(PotentialModel):
-    """Static A = (-y*b0/2, x*b0/2, 0), Phi = 0; its curl is (0, 0, b0)."""
-
-    b0: float = 1.0
-    omega = 0.0
-
-    def components(self, x, y, z, t):
-        zero = 0.0 * np.asarray(x, dtype=np.complex128)
-        return (-np.asarray(y) * self.b0 / 2 + zero, np.asarray(x) * self.b0 / 2 + zero,
-                zero, zero.copy())
-
-
-@dataclass(frozen=True)
-class ConstantPotential(PotentialModel):
-    """Spatially and temporally constant components."""
-
-    ax: complex = 0.0
-    ay: complex = 0.0
-    az: complex = 0.0
-    phi: complex = 0.0
-    omega = 0.0
-
-    def components(self, x, y, z, t):
-        zero = 0.0 * np.asarray(x, dtype=np.complex128)
-        return (self.ax + zero, self.ay + zero, self.az + zero, self.phi + zero)
-
-
-@dataclass(frozen=True)
 class strip_scalar_potential(PotentialModel):
     """The model with its scalar potential forced to zero (a broken gauge pair)."""
 
@@ -353,10 +325,6 @@ class strip_scalar_potential(PotentialModel):
         return (ax, ay, az, 0.0 * np.asarray(ax))
 
 
-def _complex_to_json(v: complex):
-    return [float(np.real(v)), float(np.imag(v))]
-
-
 def _reals_from_json(v, count: int) -> tuple:
     if not isinstance(v, (list, tuple)) or len(v) != count:
         raise ValueError(f"expected a list of {count} numbers, got {v!r}")
@@ -367,29 +335,6 @@ def _complex_from_json(v) -> complex:
     if isinstance(v, (list, tuple)):
         return complex(*_reals_from_json(v, 2))
     return complex(v)
-
-
-def model_to_descriptor(model) -> dict:
-    """JSON-serializable descriptor for a model; inverse of model_from_descriptor."""
-    if isinstance(model, DisclinationModel):
-        p = model.params
-        return {"model": "disclination", "k": p.k, "omega": p.omega, "c": p.c,
-                "a": p.a, "az": _complex_to_json(p.az)}
-    if isinstance(model, DislocationModel):
-        return {"model": "dislocation", "n": model.n, "k": model.k,
-                "omega": model.omega, "a": model.a}
-    if isinstance(model, PlaneWaveModel):
-        return {"model": "plane_wave", "kvec": list(model.kvec), "omega": model.omega,
-                "amplitude": _complex_to_json(model.amplitude)}
-    if isinstance(model, ProductSineModel):
-        return {"model": "product_sine", "qx": model.qx, "qy": model.qy,
-                "kz": model.kz, "omega": model.omega, "a": model.a}
-    if isinstance(model, ConstantScalar):
-        return {"model": "constant", "value": _complex_to_json(model.value0)}
-    if isinstance(model, PureGaugeModel):
-        return {"model": "pure_gauge", "c": model.c,
-                "psi": model_to_descriptor(model.psi)}
-    raise ValueError(f"no descriptor form for {type(model).__name__}")
 
 
 def model_from_descriptor(descriptor: dict):

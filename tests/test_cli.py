@@ -96,6 +96,21 @@ def test_detect_disclination_axis_slice(tmp_path, capsys):
     assert report["defects"][0]["index"] == "+1"
 
 
+def test_detect_output_does_not_depend_on_how_the_field_is_named(tmp_path, monkeypatch):
+    field_path = tmp_path / "disc.json"
+    main(["generate", "--model", DISCLINATION, "--dims", "17,17,2",
+          "--extent", "4,4,1", "--out", str(field_path)])
+    monkeypatch.chdir(tmp_path)
+    assert main(["detect", "--field", "disc.json", "--out", "relative.json"]) == EXIT_OK
+    assert main(["detect", "--field", str(field_path), "--out", "absolute.json"]) == EXIT_OK
+    relative = (tmp_path / "relative.json").read_bytes()
+    assert relative == (tmp_path / "absolute.json").read_bytes()
+    assert json.loads(relative)["field"] == "disc.json"
+    # the path as given stays in the run record
+    run = json.loads((tmp_path / "absolute.json.run.json").read_text())
+    assert run["inputs"] == [str(field_path)]
+
+
 def test_detect_rejects_corrupt_field(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
@@ -252,6 +267,8 @@ def test_ledger_command(capsys):
                                                rel=1e-12)
 
     assert main(["ledger"]) == EXIT_USAGE
+    assert main(["ledger", "--nu", "1.0", "--wavelength", "2.0"]) == EXIT_USAGE
+    assert "not both" in capsys.readouterr().err
 
 
 def test_report_aggregates_and_dedupes(tmp_path, capsys):

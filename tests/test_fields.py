@@ -5,7 +5,6 @@ import pytest
 
 from defectfield import (
     ComplexScalarField,
-    ConstantPotential,
     ConstantScalar,
     DisclinationModel,
     DislocationModel,
@@ -14,7 +13,6 @@ from defectfield import (
     PotentialField,
     ProductSineModel,
     PureGaugeModel,
-    RigidRotationPotential,
     SamplingError,
     SpaceTimePoint,
     WaveParams,
@@ -102,8 +100,6 @@ SHIPPED_MODELS = (
     ConstantScalar(2.0 - 1.0j),
     PureGaugeModel(DislocationModel(n=-3, k=0.8, omega=1.1), c=0.9),
     PureGaugeModel(ProductSineModel(), c=1.0),
-    RigidRotationPotential(b0=2.0),
-    ConstantPotential(ax=1.0 + 1.0j, ay=2.0, az=3.0j, phi=-1.0),
     strip_scalar_potential(DisclinationModel(WaveParams.with_dispersion(k=1.0))),
 )
 
@@ -215,7 +211,9 @@ def test_divergence_of_constant_vector_field():
 
 def test_curl_of_rigid_rotation():
     grid = GridSpec.centered((2.0, 2.0, 2.0), (9, 9, 9))
-    f = sample_potential(RigidRotationPotential(b0=2.0), grid, 0.0)
+    X, Y, _ = grid.meshgrid()
+    zero = np.zeros(grid.dims, complex)
+    f = PotentialField(grid, 0.0, -Y + zero, X + zero, zero, zero.copy())  # A = (-y, x, 0)
     bx, by, bz = curl(f)
     inner = (slice(1, -1),) * 3
     assert np.max(np.abs(bx.values[inner])) < 1e-10

@@ -173,9 +173,33 @@ def test_stokes_residual_rejects_what_its_two_evaluations_reject():
     assert stokes_residual(edge_form, Chain(cx, 2, {})) == 0.0
 
 
+def _star_cycle(cx=0.0, cy=0.0, r0=1.0, harmonics=()):
+    """Star-shaped cycle r(phi) = r0 * (1 + sum_j amp*cos(j*phi + phase)), one turn."""
+
+    def radius(phi):
+        r = np.full_like(phi, r0, dtype=float)
+        dr = np.zeros_like(phi, dtype=float)
+        for j, a, p in harmonics:
+            r += r0 * a * np.cos(j * phi + p)
+            dr -= r0 * a * j * np.sin(j * phi + p)
+        return r, dr
+
+    def curve(s):
+        r, _ = radius(TWO_PI * s)
+        return cx + r * np.cos(TWO_PI * s), cy + r * np.sin(TWO_PI * s)
+
+    def derivative(s):
+        phi = TWO_PI * s
+        r, dr = radius(phi)
+        return ((dr * np.cos(phi) - r * np.sin(phi)) * TWO_PI,
+                (dr * np.sin(phi) + r * np.cos(phi)) * TWO_PI)
+
+    return ParametricCycle(curve, derivative)
+
+
 def test_period_integral_of_exact_form():
     # d(x^2) has components (2x, 0); every cycle integral vanishes
-    cycle = ParametricCycle.star(r0=1.3, harmonics=[(3, 0.2, 0.4), (5, 0.1, 1.0)])
+    cycle = _star_cycle(r0=1.3, harmonics=[(3, 0.2, 0.4), (5, 0.1, 1.0)])
     value = period_integral(lambda x, y: 2.0 * x, lambda x, y: np.zeros_like(x), cycle)
     assert abs(value) < 1e-10
 
@@ -217,8 +241,7 @@ def test_angular_period_random_star_cycles():
         else:
             center = (3.0 * r0, 0.0)
             expected = 0.0
-        cycle = ParametricCycle.star(cx=center[0], cy=center[1], r0=r0,
-                                     harmonics=harmonics)
+        cycle = _star_cycle(center[0], center[1], r0, harmonics)
         period = period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))
         assert period == pytest.approx(expected, abs=1e-9)
 
@@ -228,17 +251,6 @@ def test_period_integral_singularity_guard():
     tiny = ParametricCycle.circle(radius=5e-7)
     with pytest.raises(SingularityProximityError):
         period_integral(ax, ay, tiny, singularities=((0.0, 0.0),))
-
-
-def test_period_integral_fft_tangents():
-    # no analytic derivative supplied: tangents come from the FFT of samples
-    def curve(s):
-        return 1.2 * np.cos(TWO_PI * s), 1.2 * np.sin(TWO_PI * s)
-
-    cycle = ParametricCycle(curve, samples=128)
-    ax, ay = angular_form_components()
-    period = period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))
-    assert period == pytest.approx(TWO_PI, abs=1e-9)
 
 
 def test_period_integral_warns_when_unresolved():
@@ -252,7 +264,8 @@ def test_period_integral_warns_when_unresolved():
 
 def test_parametric_cycle_validation():
     with pytest.raises(ValueError):
-        ParametricCycle(lambda s: (s, np.zeros_like(s)), samples=64)  # open curve
+        ParametricCycle(lambda s: (s, np.zeros_like(s)),  # open curve
+                        lambda s: (np.ones_like(s), np.zeros_like(s)), samples=64)
     with pytest.raises(ValueError):
         ParametricCycle.circle(samples=8)
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from defectfield import (
     ComplexScalarField,
-    ConstantPotential,
     ConstantScalar,
     DisclinationModel,
     DislocationModel,
@@ -15,7 +14,6 @@ from defectfield import (
     PlaneWaveModel,
     ProductSineModel,
     PureGaugeModel,
-    RigidRotationPotential,
     SamplingError,
     ScalarModel,
     UnsupportedModelError,
@@ -61,9 +59,32 @@ def interior_max(grid, arrays):
     return interior_stats(grid, arrays)[0]
 
 
+class _ConstantPotential(PotentialModel):
+    """Static, spatially constant components (Ax, Ay, Az, Phi)."""
+
+    omega = 0.0
+
+    def __init__(self, ax=0.0, ay=0.0, az=0.0, phi=0.0):
+        self.values = (ax, ay, az, phi)
+
+    def components(self, x, y, z, t):
+        zero = 0.0 * np.asarray(x, dtype=np.complex128)
+        return tuple(v + zero for v in self.values)
+
+
+class _RigidRotation(PotentialModel):
+    """Static A = (-y, x, 0), Phi = 0; its curl is (0, 0, 2)."""
+
+    omega = 0.0
+
+    def components(self, x, y, z, t):
+        zero = 0.0 * np.asarray(x, dtype=np.complex128)
+        return (-np.asarray(y) + zero, np.asarray(x) + zero, zero, zero.copy())
+
+
 def test_electric_field_constant_potentials():
     grid = GridSpec.centered((2.0, 2.0, 2.0), (7, 7, 7))
-    model = ConstantPotential(ax=1.0 - 2.0j, ay=0.5, az=3.0j, phi=2.0)
+    model = _ConstantPotential(ax=1.0 - 2.0j, ay=0.5, az=3.0j, phi=2.0)
     f = sample_potential(model, grid, 0.0)
     e = electric_field(f, model)
     assert all(np.max(np.abs(comp.values)) == 0.0 for comp in e)
@@ -156,7 +177,7 @@ def test_pure_gauge_fields_converge_to_zero(psi):
 
 def test_magnetic_field_rigid_rotation():
     grid = GridSpec.centered((2.0, 2.0, 2.0), (9, 9, 9))
-    f = sample_potential(RigidRotationPotential(b0=2.0), grid, 0.0)
+    f = sample_potential(_RigidRotation(), grid, 0.0)
     bx, by, bz = magnetic_field(f)
     assert interior_max(grid, [bx.values]) < 1e-12
     assert interior_max(grid, [by.values]) < 1e-12
@@ -187,7 +208,7 @@ def test_lorentz_residual_on_shell_disclination():
 
 
 def test_lorentz_residual_zero_field():
-    model = ConstantPotential()
+    model = _ConstantPotential()
     grid = GridSpec.centered((2.0, 2.0, 2.0), (7, 7, 7))
     f = sample_potential(model, grid, 0.0)
     assert lorentz_residual(f, model).interior_max == 0.0
@@ -231,7 +252,7 @@ def test_transverse_divergence_cases():
     f2 = sample_potential(TransverseWave(), g2, 0.0)
     assert transverse_divergence(f2).interior_max == pytest.approx(1.0, rel=0.05)
 
-    zero = sample_potential(ConstantPotential(), g2, 0.0)
+    zero = sample_potential(_ConstantPotential(), g2, 0.0)
     assert transverse_divergence(zero).interior_max == 0.0
 
 
@@ -258,7 +279,7 @@ def test_wave_residual_off_shell_magnitude():
 
 
 def test_wave_residual_static_constant():
-    model = ConstantPotential(ax=2.0, phi=1.0j)
+    model = _ConstantPotential(ax=2.0, phi=1.0j)
     grid = GridSpec.centered((2.0, 2.0, 2.0), (7, 7, 7))
     rep = wave_residual(model, grid, 0.0, c=1.0)
     assert rep.interior_max == 0.0
@@ -303,8 +324,8 @@ MODEL_KINDS = {
     "plane_wave": lambda: PlaneWaveModel(kvec=(0.6, -0.8, 1.3), omega=1.2),
     "product_sine": lambda: ProductSineModel(qx=1.1, qy=0.9, kz=1.2, omega=1.4, a=0.8),
     "pure_gauge": lambda: PureGaugeModel(DislocationModel(n=1), c=1.0),
-    "constant_potential": lambda: ConstantPotential(ax=2.0, ay=-1j, az=0.5, phi=1.0j),
-    "rigid_rotation": lambda: RigidRotationPotential(b0=2.0),
+    "constant_potential": lambda: _ConstantPotential(ax=2.0, ay=-1j, az=0.5, phi=1.0j),
+    "rigid_rotation": _RigidRotation,
     "constant_scalar": lambda: ConstantScalar(value0=1.0 + 2.0j),
     "stripped": lambda: strip_scalar_potential(disclination()),
 }
