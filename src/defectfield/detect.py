@@ -134,10 +134,10 @@ class DefectRecord:
 
 def _nearest_slice(grid: GridSpec, z: float) -> int:
     nz = grid.dims[2]
-    if nz == 1:
-        return 0
-    k = int(round((z - grid.origin[2]) / grid.spacing[2]))
-    return min(max(k, 0), nz - 1)
+    k = 0.0 if nz == 1 else (z - grid.origin[2]) / grid.spacing[2]
+    if not (math.isfinite(z) and -0.5 <= k <= nz - 0.5):
+        raise ValueError("loop leaves the grid along axis 2")
+    return min(max(round(k), 0), nz - 1)
 
 
 def _loop_values(field: ComplexScalarField, loop: LoopPath) -> np.ndarray:
@@ -174,20 +174,38 @@ def _winding_from_values(values: np.ndarray, floor: float) -> int:
 
 
 def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
-    """Signed number of 2*pi phase turns along the loop (positive CCW about +z)."""
+    """Signed number of 2*pi phase turns along the loop (positive CCW about +z).
+
+    The loop is read on the z slice nearest its z. A loop that leaves the
+    grid raises ValueError: a vertex outside x or y, a z that is not finite,
+    or, on a grid of several slices, a z more than half a spacing outside them.
+    """
     return _winding_from_values(_loop_values(field, loop), TOL_AMP)
+
+
+def _wraps(d: np.ndarray) -> np.ndarray:
+    """Signed count (int8) of the 2*pi shifts that wrap each phase step d into (-pi, pi].
+
+    Steps between two angles in [-pi, pi] lie in [-2*pi, 2*pi], so at most
+    one shift wraps each.
+    """
+    return (d <= -math.pi).view(np.int8) - (d > math.pi).view(np.int8)
 
 
 def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
     """Integer winding of every 2x2 plaquette of a complex slice (CCW about +z)."""
     phase = np.angle(values2d + 0.0)  # + 0.0 clears signed zeros: angle(-0.0) is pi
-    # steps (i, j) -> (i+1, j) and (i, j) -> (i, j+1) of two angles in [-pi, pi]
-    # lie in [-2*pi, 2*pi], so at most one 2*pi shift wraps each into (-pi, pi].
     # The raw steps around a plaquette telescope to zero: its winding is the
-    # signed count of the shifts of its wrapped steps.
-    sx, sy = ((d <= -math.pi).view(np.int8) - (d > math.pi).view(np.int8)
-              for d in (np.diff(phase, axis=0), np.diff(phase, axis=1)))
+    # signed count of the shifts of its wrapped steps, each step taken along
+    # +x or +y, as np.diff takes it, so an exact +-pi step counts one way.
+    sx, sy = (_wraps(d) for d in (np.diff(phase, axis=0), np.diff(phase, axis=1)))
     return (sx[:, :-1] + sy[1:, :] - sx[:, 1:] - sy[:-1, :]).astype(int)
+
+
+def _windings_at(values2d: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``_plaquette_windings(values2d)[i, j]`` (as int8) from the gathered corners only."""
+    p00, p10, p11, p01 = np.angle(values2d[[i, i + 1, i + 1, i], [j, j, j + 1, j + 1]] + 0.0)
+    return _wraps(p10 - p00) + _wraps(p11 - p10) - _wraps(p11 - p01) - _wraps(p01 - p00)
 
 
 def _plaquette_centroid(grid: GridSpec, i: int, j: int, k: int):
@@ -213,6 +231,13 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     sit below ``REL_ZERO`` times the median of that component's nonzero
     amplitudes (a slice cut to an aperture is mostly exact zeros), and none
     passes for a component that is zero everywhere.
+
+    The work is done in this order, so that only the joint amplitude, its
+    median and the first component's windings cost a whole slice: the ring
+    test gathers the rings of the nodes at or below the floor only; the
+    first component is wound on every plaquette, and each later one only at
+    the plaquettes still candidates (``_windings_at``, the same wrap rule);
+    the per-component medians are taken only when a candidate is left.
     """
     nx, ny = comps[0].shape
     if nx < 2 or ny < 2:
@@ -224,11 +249,10 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     consumed = np.zeros((nx - 1, ny - 1), dtype=bool)
 
     low = np.logical_and.reduce([a <= floor for a in amps])
-    on_node = low[1:-1, 1:-1].copy()
-    clear = amps[0] > floor
-    for di, dj in _RING[:-1]:
-        on_node &= clear[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj]
-    for i, j in np.argwhere(on_node) + 1:
+    nodes = np.argwhere(low[1:-1, 1:-1]) + 1
+    rings = amps[0][nodes[:, :1] + _RING[:-1, 0], nodes[:, 1:] + _RING[:-1, 1]]
+    nodes = nodes[(rings > floor).all(axis=1)]
+    for i, j in nodes:
         ring = (i + _RING[:, 0], j + _RING[:, 1])
         try:
             idx = _winding_from_values(comps[0][ring], floor)
@@ -238,19 +262,24 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
             records.append(DefectRecord(kind, grid.node_position(i, j, z_slice),
                                         Fraction(idx), float(amp[ring].min())))
         consumed[i - 1:i + 1, j - 1:j + 1] = True
+    low[tuple(nodes.T)] = False
 
-    windings = [_plaquette_windings(c) for c in comps]
-    nonzero = [a[a > 0] for a in amps] if len(amps) > 1 else []  # fresh copies
-    medians = [float(np.median(v, overwrite_input=True)) if v.size else -math.inf
-               for v in nonzero]
-    low[1:-1, 1:-1] &= ~on_node
-    candidates = np.logical_and.reduce([q != 0 for q in windings]) & ~consumed
-    for i, j in np.argwhere(candidates):
+    first = _plaquette_windings(comps[0])
+    ci, cj = np.nonzero((first != 0) & ~consumed)
+    for c in comps[1:]:
+        winds = _windings_at(c, ci, cj) != 0
+        ci, cj = ci[winds], cj[winds]
+    medians = []
+    if len(ci) and len(amps) > 1:
+        nonzero = [a[a > 0] for a in amps]  # fresh copies
+        medians = [float(np.median(v, overwrite_input=True)) if v.size else -math.inf
+                   for v in nonzero]
+    for i, j in zip(ci, cj):
         if low[i:i + 2, j:j + 2].any() or any(
                 a[i:i + 2, j:j + 2].min() > REL_ZERO * m for a, m in zip(amps, medians)):
             continue
         records.append(DefectRecord(kind, _plaquette_centroid(grid, i, j, z_slice),
-                                    Fraction(int(windings[0][i, j])),
+                                    Fraction(int(first[i, j])),
                                     float(amp[i:i + 2, j:j + 2].min())))
     records.sort(key=lambda r: r.position)
     return records

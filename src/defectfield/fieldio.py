@@ -6,6 +6,10 @@ with x varying fastest, components ordered Ax, Ay, Az, Phi for potential
 fields. The manifest's ``data`` entry is the binary's path relative to the
 manifest's directory; it may contain ``..`` (``save_field`` writes one when
 the binary sits elsewhere) or be absolute. The round trip is bit exact.
+Sampled arrays (``fields.sample_scalar``, ``fields.sample_potential``) and
+the arrays ``load_field`` returns are x fastest in memory, the file's order,
+so ``save_field`` writes them without a copy; an array in any other layout
+is copied once into that order.
 
 ``load_field`` memory-maps the binary. It checks the size and the
 finiteness of the whole file, by one exact max/min reduction per z slab (both
@@ -44,7 +48,7 @@ def save_field(field, manifest_path, data_path=None):
         raise TypeError(f"cannot save {type(field).__name__}")
     with open(data_path, "wb") as out:
         for arr in arrays:
-            # x fastest means z is slowest in file order
+            # a view, not a copy, when arr is x fastest (z slowest), as sampled arrays are
             np.ascontiguousarray(arr.transpose(2, 1, 0), dtype="<c16").tofile(out)
     manifest = {
         "version": FORMAT_VERSION,
@@ -66,7 +70,8 @@ def load_field(manifest_path, z_slice=None):
     by one max/min reduction per z slab of each component, but only slice k
     is copied: the result lives on the one-slice grid whose origin is node
     (0, 0, k) of the file's grid, so positions found on it are those found
-    on slice k of the full field.
+    on slice k of the full field. The returned arrays are x fastest, like
+    sampled ones.
     """
     manifest_path = Path(manifest_path)
     try:

@@ -4,11 +4,17 @@ A field holds one time instant of either a complex scalar wave or a
 four-component potential (Ax, Ay, Az, Phi) sampled on a regular grid.
 Models are evaluated on the open grid (one coordinate array per axis,
 broadcast against the others), which gives the same values as the dense
-grid at a fraction of the work. First derivatives are second order:
-central differences at interior nodes, one-sided three-point stencils at
-boundary nodes, and a plain two-point difference when an axis has only two
-nodes. The Laplacian sums the compact three-point second difference of
-each axis, with one-sided four-point stencils at boundary nodes.
+grid at a fraction of the work. Sampling passes the model the open grid
+with its axes reversed, shaped (1, 1, nx), (1, ny, 1), (nz, 1, 1), and
+returns the transposed result: every sampled array is x fastest, the
+order of a field file, so ``fieldio.save_field`` writes it without a copy,
+and numpy's inner loops run along x. Any model that broadcasts elementwise
+over its coordinates accepts the reversed grid, as every shipped model
+does. First derivatives are second order: central differences at interior
+nodes, one-sided three-point stencils at boundary nodes, and a plain
+two-point difference when an axis has only two nodes. The Laplacian sums
+the compact three-point second difference of each axis, with one-sided
+four-point stencils at boundary nodes.
 """
 
 from __future__ import annotations
@@ -195,25 +201,27 @@ class PotentialField:
 
 
 def _on_grid(values, grid: GridSpec) -> np.ndarray:
-    """Model output as a complex array of the grid's full shape."""
+    """Output on the reversed open grid as a complex array of the grid's shape, x fastest."""
+    shape = grid.dims[::-1]
     arr = np.asarray(values, dtype=np.complex128)
-    if arr.shape != grid.dims:
-        arr = np.broadcast_to(arr, grid.dims).copy()
-    return arr
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape).copy()
+    return arr.T
 
 
 def sample_scalar(model, grid: GridSpec, t: float) -> ComplexScalarField:
-    """Evaluate a scalar-valued model at every grid node at time t."""
+    """Evaluate a scalar-valued model at every grid node at time t (x fastest)."""
     if not hasattr(model, "value"):
         raise TypeError("sample_scalar requires a scalar-valued model")
-    return ComplexScalarField(grid, t, _on_grid(model.value(*grid.open_grid(), t), grid))
+    values = model.value(*(c.T for c in grid.open_grid()), t)
+    return ComplexScalarField(grid, t, _on_grid(values, grid))
 
 
 def sample_potential(model, grid: GridSpec, t: float) -> PotentialField:
-    """Evaluate a four-component potential model at every grid node at time t."""
+    """Evaluate a four-component potential model at every grid node at time t (x fastest)."""
     if not hasattr(model, "components"):
         raise TypeError("sample_potential requires a potential-valued model")
-    comps = model.components(*grid.open_grid(), t)
+    comps = model.components(*(c.T for c in grid.open_grid()), t)
     return PotentialField(grid, t, *(_on_grid(c, grid) for c in comps))
 
 

@@ -199,6 +199,17 @@ def test_winding_loop_off_grid_or_nan_raises():
     points[5, 1] = np.nan
     with pytest.raises(ValueError, match="leaves the grid"):
         phase_winding(field, LoopPath(points))
+    # z: finite and, with several slices, within half a spacing of them
+    with pytest.raises(ValueError, match="leaves the grid along axis 2"):
+        phase_winding(field, LoopPath.circle(0.0, 0.0, 1.0, z=math.inf))
+    assert phase_winding(field, LoopPath.circle(0.0, 0.0, 1.0, z=100.0)) == 1  # one slice
+    grid = GridSpec.centered((4.0, 4.0, 2.0), (41, 41, 5))  # slices at z = -1, -0.5, ..., 1
+    field = sample_scalar(DislocationModel(n=1, k=1.0, omega=1.0), grid, 0.0)
+    for z in (100.0, 1.26, -1.26, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="leaves the grid along axis 2"):
+            phase_winding(field, LoopPath.circle(0.0, 0.0, 1.0, z=z))
+    for z in (1.25, -1.25, 0.3):
+        assert phase_winding(field, LoopPath.circle(0.0, 0.0, 1.0, z=z)) == 1
 
 
 def on_node_cores(seed):

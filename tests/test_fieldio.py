@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,18 @@ def test_save_field_bytes_match_reference_encoding(tmp_path, kind):
     reference = b"".join(np.ascontiguousarray(a.transpose(2, 1, 0)).astype("<c16").tobytes()
                          for a in _arrays(field))
     assert data.read_bytes() == reference
+
+
+def test_save_field_of_a_sampled_field_copies_no_component(tmp_path):
+    # sampled arrays are x fastest, the file's order, so each is written as it is
+    field = _sampled("potential", (33, 33, 8))
+    tracemalloc.start()
+    try:
+        save_field(field, tmp_path / "f.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < field.ax.nbytes
 
 
 def test_data_path_may_leave_the_manifest_directory(tmp_path):

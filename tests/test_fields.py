@@ -120,6 +120,7 @@ def test_sampling_matches_dense_evaluation(model, dims):
         for ref, got in zip(dense, sampled, strict=True):
             ref = np.broadcast_to(np.asarray(ref, dtype=np.complex128), dims)
             assert got.shape == dims
+            assert got.T.flags.c_contiguous  # x fastest, the order of a field file
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()  # bit for bit
 
 
