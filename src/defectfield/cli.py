@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -364,6 +363,8 @@ def _rows_from_input(path: Path) -> list[dict]:
 
 
 def cmd_report(args) -> int:
+    import hashlib
+
     started = time.perf_counter()
     if not args.inputs:
         raise ValueError("report requires at least one input")

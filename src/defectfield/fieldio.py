@@ -9,7 +9,7 @@ the binary sits elsewhere) or be absolute. The round trip is bit exact.
 Sampled arrays (``fields.sample_scalar``, ``fields.sample_potential``) and
 the arrays ``load_field`` returns are x fastest in memory, the file's order,
 so ``save_field`` writes them without a copy; an array in any other layout
-is copied once into that order.
+is copied into that order one z slice at a time.
 
 ``load_field`` memory-maps the binary. It checks the size and the
 finiteness of the whole file, by one exact max/min reduction per z slab (both
@@ -48,8 +48,11 @@ def save_field(field, manifest_path, data_path=None):
         raise TypeError(f"cannot save {type(field).__name__}")
     with open(data_path, "wb") as out:
         for arr in arrays:
-            # a view, not a copy, when arr is x fastest (z slowest), as sampled arrays are
-            np.ascontiguousarray(arr.transpose(2, 1, 0), dtype="<c16").tofile(out)
+            # x fastest, as sampled arrays are: the component is one view and one
+            # write; any other layout is copied one z slice at a time
+            in_order = arr.transpose(2, 1, 0)
+            for slab in [in_order] if in_order.flags.c_contiguous else in_order:
+                np.ascontiguousarray(slab, dtype="<c16").tofile(out)
     manifest = {
         "version": FORMAT_VERSION,
         "kind": kind,

@@ -3,12 +3,15 @@
 Chains carry integer coefficients on oriented cells (vertices, axis
 aligned edges, unit faces); cochains (forms) carry one real value per
 cell, edge values representing the integral of a 1-form along the edge.
-One incidence rule (``CubicalComplex.lower_cells``) builds the coboundary
-and, on a chain's own cells, its boundary: the discrete Stokes identity
-holds exactly, at a cost set by the chain. Period integrals of continuous
-1-forms over smooth closed curves use midpoint quadrature with one
-Richardson extrapolation; an edge-integrated angular form on a complex
-with a rectangular hole witnesses closed-but-not-exact cohomology.
+One incidence rule (``CubicalComplex.lower_cells``) gives the coboundary,
+as signed sums over each cell's lower cells, and, on a chain's own cells,
+its boundary: the discrete Stokes identity holds exactly, at a cost set by
+the chain. The sparse matrices ``d0``/``d1`` come from the same rule and
+are built, with a scipy import, only when a caller asks for them. Period
+integrals of continuous 1-forms over smooth closed curves use midpoint
+quadrature with one Richardson extrapolation; an edge-integrated angular
+form on a complex with a rectangular hole witnesses closed-but-not-exact
+cohomology.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,6 +120,8 @@ class CubicalComplex:
         return np.array([cells, cells + self.nx - 1, left, left + 1]).T, np.array([1, -1, -1, 1])
 
     def _incidence(self, degree: int) -> sparse.csr_matrix:
+        from scipy import sparse  # only a caller that asks for a matrix loads scipy
+
         lower, signs = self.lower_cells(degree, np.arange(self.n_cells(degree)))
         indptr = np.arange(0, lower.size + 1, lower.shape[1])
         return sparse.csr_matrix((np.resize(signs, lower.size), lower.ravel(), indptr),
@@ -201,12 +209,18 @@ class DiscreteForm:
         object.__setattr__(self, "values", vals)
 
 
-def boundary(chain: Chain) -> Chain:
-    """Oriented boundary; a face maps to its counterclockwise 4-edge loop.
+def _row_sums(lower, signs, values) -> np.ndarray:
+    """Each ``lower_cells`` row's signed sum of ``values``, d·values on those rows.
 
-    Sums the signed rows of the chain's own cells (``lower_cells``) per
-    lower cell and keeps the nonzero sums, in ascending cell order.
+    A row is added in ascending lower-cell order from zero, the order in which
+    the CSR product ``d0 @ values`` or ``d1 @ values`` adds it, so the two agree
+    bit for bit.
     """
+    return sum((signs * values[lower]).T, np.zeros(len(lower)))
+
+
+def _boundary_and_rows(chain: Chain):
+    """boundary(chain), with the chain's (lower, signs) rows it was summed from."""
     if chain.degree == 0:
         raise DegreeError("0-chains have no boundary")
     lower, signs = chain.cx.lower_cells(chain.degree, list(chain.coeffs))
@@ -215,15 +229,26 @@ def boundary(chain: Chain) -> Chain:
     sums = np.zeros(cells.size, dtype=np.int64)
     np.add.at(sums, np.searchsorted(cells, lower.ravel()), signed.ravel())
     keep = sums != 0
-    return Chain(chain.cx, chain.degree - 1, dict(zip(cells[keep].tolist(), sums[keep].tolist())))
+    edges = Chain(chain.cx, chain.degree - 1, dict(zip(cells[keep].tolist(), sums[keep].tolist())))
+    return edges, lower, signs
+
+
+def boundary(chain: Chain) -> Chain:
+    """Oriented boundary; a face maps to its counterclockwise 4-edge loop.
+
+    Sums the signed rows of the chain's own cells (``lower_cells``) per
+    lower cell and keeps the nonzero sums, in ascending cell order.
+    """
+    return _boundary_and_rows(chain)[0]
 
 
 def coboundary(form: DiscreteForm) -> DiscreteForm:
     """Exterior derivative, defined by (d w)(c) = w(boundary(c))."""
     if form.degree == 2:
         raise DegreeError("2-forms have no coboundary on a planar complex")
-    mat = form.cx.d0 if form.degree == 0 else form.cx.d1
-    return DiscreteForm(form.cx, form.degree + 1, mat @ form.values)
+    cx, degree = form.cx, form.degree + 1
+    rows = cx.lower_cells(degree, np.arange(cx.n_cells(degree)))
+    return DiscreteForm(cx, degree, _row_sums(*rows, form.values))
 
 
 def evaluate(form: DiscreteForm, chain: Chain) -> float:
@@ -239,13 +264,14 @@ def evaluate(form: DiscreteForm, chain: Chain) -> float:
 def stokes_residual(form: DiscreteForm, chain: Chain) -> float:
     """evaluate(d form, chain) - evaluate(form, boundary(chain)); zero by adjointness.
 
-    (d form)(chain) sums only the rows of the chain's cells, in the order
-    ``coboundary`` sums a row, so it equals ``evaluate(coboundary(form),
-    chain)`` bit for bit without computing d form on the whole complex.
+    The chain's rows are built once and give both its boundary and (d form)
+    on its cells, summed as ``coboundary`` sums them, so the first term equals
+    ``evaluate(coboundary(form), chain)`` bit for bit without computing d form
+    on the whole complex.
     """
-    around = evaluate(form, boundary(chain))  # rejects mismatched degrees and complexes
-    lower, signs = form.cx.lower_cells(chain.degree, list(chain.coeffs))
-    d = sum((signs * form.values[lower]).T, np.zeros(len(lower)))  # coboundary's order
+    edges, lower, signs = _boundary_and_rows(chain)
+    around = evaluate(form, edges)  # rejects mismatched degrees and complexes
+    d = _row_sums(lower, signs, form.values)
     return float(d @ np.array(list(chain.coeffs.values()), dtype=float)) - around
 
 
@@ -263,7 +289,8 @@ def winding_one_form(cx: CubicalComplex, center=(0.0, 0.0)) -> DiscreteForm:
     """
     X, Y = cx.vertex_coords()
     theta = np.arctan2(Y - center[1], X - center[0])
-    return DiscreteForm(cx, 1, np.mod(cx.d0 @ theta + math.pi, TWO_PI) - math.pi)
+    step = coboundary(DiscreteForm(cx, 0, theta)).values
+    return DiscreteForm(cx, 1, np.mod(step + math.pi, TWO_PI) - math.pi)
 
 
 def annulus_complex(nx: int, ny: int, hole, spacing=(1.0, 1.0),

@@ -94,6 +94,23 @@ def test_save_field_of_a_sampled_field_copies_no_component(tmp_path):
     assert peak < field.ax.nbytes
 
 
+def test_save_field_of_a_c_order_field_copies_one_slice_at_a_time(tmp_path):
+    # z fastest, as products of np.meshgrid(..., indexing="ij") are
+    sampled = _sampled("scalar", (33, 33, 8))
+    c_order = np.ascontiguousarray(sampled.values)
+    assert c_order.flags.c_contiguous and not c_order.transpose(2, 1, 0).flags.c_contiguous
+    field = ComplexScalarField(sampled.grid, sampled.time, c_order)
+    tracemalloc.start()
+    try:
+        _, data = save_field(field, tmp_path / "c.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < c_order.nbytes
+    _, reference = save_field(sampled, tmp_path / "x.json")
+    assert data.read_bytes() == reference.read_bytes()
+
+
 def test_data_path_may_leave_the_manifest_directory(tmp_path):
     (tmp_path / "meta").mkdir()
     (tmp_path / "blobs").mkdir()

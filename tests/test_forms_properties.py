@@ -2,6 +2,8 @@
 over the whole complex: a cell-by-cell walk, the transposed incidence matrices, and
 the meshgrid construction of those matrices."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -15,6 +17,7 @@ from defectfield import (
     coboundary,
     evaluate,
     stokes_residual,
+    winding_one_form,
 )
 from defectfield.forms import hole_cycle
 
@@ -200,3 +203,54 @@ def test_stokes_residual_is_the_whole_complex_difference(chain, seed, exponent):
     want = evaluate(coboundary(form), chain) - evaluate(form, boundary(chain))
     got = stokes_residual(form, chain)
     assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@st.composite
+def any_complexes(draw):
+    """From 2x2 nodes up, square or not, with no face mask or an arbitrary one."""
+    nx, ny = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    mask = None
+    if draw(st.booleans()):
+        size = (nx - 1) * (ny - 1)
+        mask = np.reshape(draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                          (nx - 1, ny - 1))
+    spacing = draw(st.sampled_from([(1.0, 1.0), (0.5, 2.0), (0.3, 0.7)]))
+    origin = draw(st.sampled_from([(0.0, 0.0), (-2.0, -1.5), (0.25, 3.0)]))
+    return CubicalComplex(nx, ny, spacing=spacing, origin=origin, face_mask=mask)
+
+
+@SETTINGS
+@hypothesis.example(CubicalComplex(2, 2), 0, 0.0)
+@hypothesis.example(CubicalComplex(2, 2, face_mask=[[False]]), 1, 3.0)
+@hypothesis.example(CubicalComplex(2, 6), 2, -7.5)
+@hypothesis.example(CubicalComplex(7, 3, face_mask=np.eye(6, 2, dtype=bool)), 3, 8.0)
+@hypothesis.given(any_complexes(), st.integers(0, 2 ** 32 - 1), st.floats(-8, 8))
+def test_coboundary_is_the_incidence_product_bit_for_bit(cx, seed, exponent):
+    rng = np.random.default_rng(seed)
+    for degree, incidence in ((0, cx.d0), (1, cx.d1)):
+        values = rng.standard_normal(cx.n_cells(degree)) * 10.0 ** exponent
+        # exact cancellations, and signed zeros, which a sum not started from 0.0 keeps
+        values[rng.random(values.size) < 0.2] = 0.0
+        values[rng.random(values.size) < 0.1] = -0.0
+        got = coboundary(DiscreteForm(cx, degree, values)).values
+        want = incidence @ values
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# centres on nodes and on grid lines give zero steps and steps of exactly +-pi
+CENTRES = st.one_of(st.integers(-4, 12).map(lambda i: i / 2), st.floats(-4.0, 12.0))
+
+
+@SETTINGS
+@hypothesis.example(CubicalComplex(2, 2), 0.0, 0.0)
+@hypothesis.example(CubicalComplex(2, 2), 0.5, 0.0)
+@hypothesis.example(CubicalComplex(5, 3, face_mask=np.zeros((4, 2), dtype=bool)), 2.0, 1.0)
+@hypothesis.given(any_complexes(), CENTRES, CENTRES)
+def test_winding_one_form_is_the_wrapped_incidence_product(cx, x0, y0):
+    X, Y = cx.vertex_coords()
+    theta = np.arctan2(Y - y0, X - x0)
+    want = np.mod(cx.d0 @ theta + math.pi, 2.0 * math.pi) - math.pi
+    got = winding_one_form(cx, center=(x0, y0)).values
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
