@@ -81,6 +81,7 @@ from .models import (
 )
 from .verify import (
     ResidualReport,
+    claims,
     convergence_study,
     electric_field,
     interior_slices,

@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Subcommands: generate (sample a model to field files), detect (defect
-report for one slice), verify (run the claim-check suite to CSV), forms
+report for one slice), verify (the ``verify.claims`` table as CSV), forms
 (discrete-calculus demos), ledger (energy bookkeeping), report (aggregate
 prior outputs). Exit codes: 0 success, 1 a claim check failed, 2 invalid
 usage or input, 3 I/O failure.
@@ -71,18 +71,21 @@ def _fraction_str(frac: Fraction) -> str:
     return f"{frac.numerator:+d}/{frac.denominator}"
 
 
-def _emit(text: str, out):
-    if out is None:
+def _emit(text: str, args, started: float, parameters: dict, inputs=()) -> None:
+    """Write text to stdout, or to ``--out`` with its ``.run.json`` manifest."""
+    if args.out is None:
         sys.stdout.write(text)
-        return []
-    Path(out).write_text(text)
-    return [out]
+        return
+    Path(args.out).write_text(text)
+    _write_run_manifest(args.out, args.command, inputs, parameters, [args.out], started)
 
 
 def cmd_generate(args) -> int:
     from . import fieldio, fields, models
 
     started = time.perf_counter()
+    if args.origin is not None and args.spacing is None:
+        raise ValueError("--origin requires --spacing")
     descriptor = _load_descriptor(args.model)
     model = models.model_from_descriptor(descriptor)
     dims = _parse_triple(args.dims, int)
@@ -132,140 +135,25 @@ def cmd_detect(args) -> int:
             for r in records
         ],
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    outputs = _emit(text, args.out)
-    if args.out:
-        _write_run_manifest(args.out, "detect",
-                            inputs=[args.field],
-                            parameters={"slice": args.slice},
-                            outputs=outputs, started=started)
+    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args, started,
+          {"slice": args.slice}, inputs=[args.field])
     return EXIT_OK
 
 
-def _orbifold_deviation(sampled, model, rng_seed: int = 20240501) -> float:
-    """Max deviation of loop windings of Ax from their expected values."""
-    import numpy as np
-
-    from . import detect
-
-    rng = np.random.default_rng(rng_seed)
-    grid = sampled.grid
-    half = (grid.dims[0] - 1) * grid.spacing[0] / 2.0
-    ax_field = sampled.component_field("Ax")
-    deviation = 0.0
-    for _ in range(3):
-        radius = float(rng.uniform(0.25, 0.55)) * half
-        cx = float(rng.uniform(-0.1, 0.1)) * half
-        cy = float(rng.uniform(-0.1, 0.1)) * half
-        loop = detect.LoopPath.circle(cx, cy, radius, n=128)
-        deviation = max(deviation, abs(detect.phase_winding(ax_field, loop) - 1))
-    away = detect.LoopPath.circle(0.6 * half, 0.0, 0.2 * half, n=128)
-    deviation = max(deviation, abs(detect.phase_winding(ax_field, away)))
-    return deviation
-
-
-def _verify_rows(model, dims: int, refinements: int) -> list[dict]:
-    import numpy as np
-
-    from . import detect, fields, ledger, verify
-
-    p = model.params
-    k, omega = p.k, p.omega
-    box = (6.0 / k, 6.0 / k, 2.0 * math.pi / k)
-    grid = fields.GridSpec.centered(box, (dims, dims, dims))
-    sampled = fields.sample_potential(model, grid, 0.0)
-    region = verify.interior_slices(grid.dims)
-    amplitude = max(float(np.abs(c[region]).max())
-                    for c in (sampled.ax, sampled.ay, sampled.az, sampled.phi))
-    if amplitude == 0:
-        raise ValueError("verify requires a nonzero disclination amplitude (a or az)")
-    # the wave residual is reported relative to k^2 * max|A|
-    wave_scale = k * k * amplitude
-    if wave_scale == 0:
-        raise ValueError("model magnitudes exceed float range: k^2 * max|A| underflows to 0")
-    rows = []
-
-    def add(check, value, expected, tolerance, passed, orders=""):
-        rows.append({"check": check, "value": value, "expected": expected,
-                     "tolerance": tolerance, "passed": bool(passed), "orders": orders})
-
-    rep = verify.lorentz_residual(sampled, model)
-    add("lorentz_interior_max", rep.interior_max, 0.0, 1e-9, rep.interior_max <= 1e-9)
-
-    rep = verify.transverse_divergence(sampled)
-    add("transverse_divergence_interior_max", rep.interior_max, 0.0, 1e-10,
-        rep.interior_max <= 1e-10)
-
-    reports = verify.convergence_study(
-        lambda g: verify.wave_residual(model, g, 0.0), grid, refinements - 1)
-    rel = reports[0].interior_max / wave_scale
-    orders = [r.observed_order for r in reports[1:] if r.observed_order is not None]
-    wave_ok = rel <= 0.05 and all(1.7 <= o <= 2.3 for o in orders)
-    add("wave_residual_rel", rel, 0.0, 0.05, wave_ok,
-        ";".join(f"{o:.3f}" for o in orders))
-
-    try:
-        period = 2.0 * math.pi / omega
-        rate = detect.pattern_rotation_rate(model, 0.0, period / 4.0)
-        value = rate / omega
-        add("rotation_rate_over_omega", value, 0.5, 1e-6, abs(value - 0.5) <= 1e-6)
-    except detect.RigidRotationFitError:
-        add("rotation_rate_over_omega", math.nan, 0.5, 1e-6, False)
-
-    try:
-        lam = 2.0 * math.pi / k
-        twist = abs(detect.axial_twist_per_length(model, 0.0, lam, 0.0)) * lam
-        add("twist_per_wavelength", twist, math.pi, 1e-6, abs(twist - math.pi) <= 1e-6)
-    except detect.RigidRotationFitError:
-        add("twist_per_wavelength", math.nan, math.pi, 1e-6, False)
-
-    try:
-        frac = detect.tifold_index(model)
-        add("tifold_index", float(frac), 0.5, 0.0, frac == Fraction(1, 2))
-    except (detect.RigidRotationFitError, detect.NonRationalIndexError,
-            detect.UndefinedIndexError):
-        add("tifold_index", math.nan, 0.5, 0.0, False)
-
-    deviation = _orbifold_deviation(sampled, model)
-    add("orbifold_winding_deviation", deviation, 0.0, 0.0, deviation == 0)
-
-    led = ledger.PhotonLedger(nu=omega / (2.0 * math.pi), k=k)
-    internal, _, total = ledger.total_energy(led)
-    mom = ledger.momentum(led)
-    dev = max(abs(internal / total - 0.5), abs(mom * led.c - total))
-    add("energy_partition_deviation", dev, 0.0, 0.0, dev == 0)
-    return rows
-
-
 def cmd_verify(args) -> int:
-    from . import models
+    from . import models, verify
 
     started = time.perf_counter()
     descriptor = _load_descriptor(args.model)
-    model = models.model_from_descriptor(descriptor)
-    if not isinstance(model, models.DisclinationModel):
-        raise ValueError("verify requires a disclination model descriptor")
-    if args.refinements < 1:
-        raise ValueError("refinements must be at least 1")
-    try:
-        rows = _verify_rows(model, args.dims, args.refinements)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # finite descriptor values whose squares leave float range (c = 1e308, 1e-300)
-        raise ValueError(f"model magnitudes exceed float range: {exc}") from exc
+    rows = verify.claims(models.model_from_descriptor(descriptor), args.dims, args.refinements)
     lines = ["check,value,expected,tolerance,passed,orders"]
     for r in rows:
         lines.append(
             f"{r['check']},{r['value']:.12g},{r['expected']:.12g},"
             f"{r['tolerance']:.12g},{str(r['passed']).lower()},{r['orders']}"
         )
-    text = "\n".join(lines) + "\n"
-    outputs = _emit(text, args.out)
-    if args.out:
-        _write_run_manifest(args.out, "verify",
-                            inputs=[],
-                            parameters={"descriptor": descriptor, "dims": args.dims,
-                                        "refinements": args.refinements},
-                            outputs=outputs, started=started)
+    _emit("\n".join(lines) + "\n", args, started,
+          {"descriptor": descriptor, "dims": args.dims, "refinements": args.refinements})
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_CLAIM_FAILURE
 
 
@@ -274,6 +162,7 @@ def cmd_forms(args) -> int:
 
     from . import forms
 
+    started = time.perf_counter()
     if args.demo == "stokes":
         if args.pairs < 1:
             raise ValueError("--pairs must be at least 1")
@@ -313,14 +202,16 @@ def cmd_forms(args) -> int:
         report = {"demo": "ws", "energy": args.energy, "nu": args.nu,
                   "mass": args.mass, "value": value, "expected": expected,
                   "passed": abs(value - expected) <= 1e-9}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args, started,
+          {name: getattr(args, name) for name in
+           ("demo", "nodes", "pairs", "seed", "turns", "radius", "energy", "nu", "mass")})
     return EXIT_OK if report["passed"] else EXIT_CLAIM_FAILURE
 
 
 def cmd_ledger(args) -> int:
     from . import ledger
 
+    started = time.perf_counter()
     units = ledger.UNIT_SYSTEMS[args.units]
     if args.wavelength is not None and args.nu is not None:
         raise ValueError("ledger takes --nu or --wavelength, not both")
@@ -331,8 +222,9 @@ def cmd_ledger(args) -> int:
                                                  with_wavenumber=args.with_wavenumber)
     else:
         raise ValueError("ledger requires --nu or --wavelength")
-    text = json.dumps(ledger.ledger_summary(led), sort_keys=True, indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(json.dumps(ledger.ledger_summary(led), sort_keys=True, indent=2) + "\n", args,
+          started, {"nu": args.nu, "wavelength": args.wavelength, "units": args.units,
+                    "with_wavenumber": args.with_wavenumber})
     return EXIT_OK
 
 
@@ -390,11 +282,7 @@ def cmd_report(args) -> int:
             lines.append(f"| {r['source']} | {r['check']:<{width}} | {r['value']} "
                          f"| {'pass' if r['passed'] else 'FAIL'} |")
         text = "\n".join(lines) + "\n"
-    outputs = _emit(text, args.out)
-    if args.out:
-        _write_run_manifest(args.out, "report",
-                            inputs=list(args.inputs), parameters={},
-                            outputs=outputs, started=started)
+    _emit(text, args, started, {}, inputs=args.inputs)
     return EXIT_OK if all(r["passed"] for r in rows) else EXIT_CLAIM_FAILURE
 
 

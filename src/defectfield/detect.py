@@ -5,9 +5,9 @@ phase winding; disclinations are simultaneous zeros of both transverse
 potential components. One rule finds both: a point where every component
 of the slice vanishes and winds. A core sitting exactly on a grid node is
 reported once, at its node, with the winding around its 8-node ring;
-other cores are found by plaquette. Windings come from sums of wrapped
-phase steps around closed loops or grid plaquettes, so results are exact
-integers by construction. Pattern-alignment fits measure the rigid
+other cores are found by plaquette. Windings count the 2*pi shifts that
+wrap the phase steps around closed loops or grid plaquettes, so they are
+exact integers by construction. Pattern-alignment fits measure the rigid
 rotation rate of the transverse azimuth pattern in time and its twist
 rate along the propagation axis, and the rotation per period yields the
 time-defect (tifold) index. Each substep of a fit is closed form: a rigid
@@ -44,10 +44,6 @@ class NearZeroOnLoopError(ValueError):
 
 class AmbiguousStepError(ValueError):
     """A wrapped phase step equals pi within tolerance; the loop is too coarse."""
-
-
-class NonIntegerWindingError(ValueError):
-    """Accumulated phase is not an integer multiple of 2*pi within tolerance."""
 
 
 class RigidRotationFitError(RuntimeError):
@@ -158,19 +154,28 @@ def _loop_values(field: ComplexScalarField, loop: LoopPath) -> np.ndarray:
             + values[i + 1, j] * u * (1 - v) + values[i + 1, j + 1] * u * v)
 
 
+def _wraps(d: np.ndarray) -> np.ndarray:
+    """Signed count (int8) of the 2*pi shifts that wrap each phase step d into (-pi, pi].
+
+    Steps between two angles in [-pi, pi] lie in [-2*pi, 2*pi], so at most
+    one shift wraps each.
+    """
+    return (d <= -math.pi).view(np.int8) - (d > math.pi).view(np.int8)
+
+
 def _winding_from_values(values: np.ndarray, floor: float) -> int:
+    """Winding of closed values (last == first): their raw phase steps telescope
+    to zero, so it is the signed count of the shifts that wrap them."""
     amp = np.abs(values)
     if np.any(amp <= floor):
         raise NearZeroOnLoopError(
             f"loop amplitude {amp.min():.3e} is at or below tolerance {floor:.3e}"
         )
-    steps = wrap_angle(np.diff(np.angle(values)))
+    steps = np.diff(np.angle(values))
+    # a raw step d in [-2*pi, 2*pi] wraps to +-pi exactly when |d| is pi
     if np.any(np.abs(np.abs(steps) - math.pi) <= 1e-9):
         raise AmbiguousStepError("a phase step equals pi within 1e-9; refine the loop")
-    n = float(np.sum(steps)) / TWO_PI
-    if abs(n - round(n)) > 1e-9:
-        raise NonIntegerWindingError(f"accumulated winding {n!r} is not an integer")
-    return int(round(n))
+    return int(_wraps(steps).sum())
 
 
 def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
@@ -181,15 +186,6 @@ def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
     or, on a grid of several slices, a z more than half a spacing outside them.
     """
     return _winding_from_values(_loop_values(field, loop), TOL_AMP)
-
-
-def _wraps(d: np.ndarray) -> np.ndarray:
-    """Signed count (int8) of the 2*pi shifts that wrap each phase step d into (-pi, pi].
-
-    Steps between two angles in [-pi, pi] lie in [-2*pi, 2*pi], so at most
-    one shift wraps each.
-    """
-    return (d <= -math.pi).view(np.int8) - (d > math.pi).view(np.int8)
 
 
 def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
@@ -256,7 +252,7 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
         ring = (i + _RING[:, 0], j + _RING[:, 1])
         try:
             idx = _winding_from_values(comps[0][ring], floor)
-        except (AmbiguousStepError, NonIntegerWindingError):
+        except AmbiguousStepError:
             continue  # the ring is too coarse for this core; plaquettes report it
         if idx != 0:
             records.append(DefectRecord(kind, grid.node_position(i, j, z_slice),

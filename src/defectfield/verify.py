@@ -19,6 +19,9 @@ along costs no stencil. Its values equal the whole-grid
 ``fields.laplacian`` bit for bit. Each slab's residual either fills a
 grid-sized array or goes to ``reduce(residual, x_slice)``, which
 ``wave_residual`` uses to fold the interior max and rms as it goes.
+
+``claims`` checks the paper's claims for a disclination model as a table
+of (check, value, expected, tolerance) rows, each decided by one rule.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import detect, ledger
 from .fields import (
     POTENTIAL_COMPONENTS,
     ComplexScalarField,
@@ -40,7 +44,9 @@ from .fields import (
     curl,
     divergence,
     harmonic_factor,
+    sample_potential,
 )
+from .models import DisclinationModel
 
 MATCHED = "matched"
 ANALYTIC = "analytic"
@@ -287,3 +293,95 @@ def convergence_study(make_report, grid: GridSpec, refinements: int = 2):
             order = math.log2(prev.interior_max / cur.interior_max)
         out.append(replace(cur, observed_order=order))
     return out
+
+
+def _fit(fit, *args) -> float:
+    """``fit(*args)`` as a float, or NaN (which fails its row) when it is undefined."""
+    try:
+        return float(fit(*args))
+    except (detect.RigidRotationFitError, detect.NonRationalIndexError,
+            detect.UndefinedIndexError):
+        return math.nan
+
+
+def _claim_table(model, dims: int, refinements: int) -> list[tuple]:
+    """(check, value, expected, tolerance, observed orders) per claim, in CSV order."""
+    k, omega = model.params.k, model.params.omega
+    grid = GridSpec.centered((6.0 / k, 6.0 / k, 2.0 * math.pi / k), (dims, dims, dims))
+    sampled = sample_potential(model, grid, 0.0)
+    region = interior_slices(grid.dims)
+    peaks = [float(np.abs(c[region]).max())
+             for c in (sampled.ax, sampled.ay, sampled.az, sampled.phi)]
+    if max(peaks) == 0:
+        raise ValueError("verify requires a nonzero disclination amplitude (a or az)")
+    # the wave residual is reported relative to k^2 * max|A|
+    wave_scale = k * k * max(peaks)
+    if wave_scale == 0:
+        raise ValueError("model magnitudes exceed float range: k^2 * max|A| underflows to 0")
+    ax_peak = float(np.abs(sampled.ax).max())  # whole grid: at dims 5 the interior is the axis
+    if ax_peak == 0:
+        raise ValueError("verify requires a nonzero transverse amplitude a: "
+                         "Ax vanishes, so it has no zero line to wind around")
+    table = [
+        ("lorentz_interior_max", lorentz_residual(sampled, model).interior_max, 0.0, 1e-9, ()),
+        ("transverse_divergence_interior_max", transverse_divergence(sampled).interior_max,
+         0.0, 1e-10, ()),
+    ]
+    reports = convergence_study(lambda g: wave_residual(model, g, 0.0), grid, refinements - 1)
+    orders = tuple(r.observed_order for r in reports[1:] if r.observed_order is not None)
+    table.append(("wave_residual_rel", reports[0].interior_max / wave_scale, 0.0, 0.05, orders))
+
+    period, lam = 2.0 * math.pi / omega, 2.0 * math.pi / k
+    rate = _fit(detect.pattern_rotation_rate, model, 0.0, period / 4.0)
+    twist = _fit(detect.axial_twist_per_length, model, 0.0, lam, 0.0)
+    table += [("rotation_rate_over_omega", rate / omega, 0.5, 1e-6, ()),
+              ("twist_per_wavelength", abs(twist) * lam, math.pi, 1e-6, ()),
+              ("tifold_index", _fit(detect.tifold_index, model), 0.5, 0.0, ())]
+
+    # Ax scaled to a unit peak: a winding does not depend on the field's scale
+    ax = ComplexScalarField(grid, 0.0, sampled.ax / ax_peak)
+    rng = np.random.default_rng(20240501)
+    half = (dims - 1) * grid.spacing[0] / 2.0
+    deviation = 0.0
+    for _ in range(3):
+        radius, cx, cy = (float(rng.uniform(lo, hi)) * half
+                          for lo, hi in ((0.25, 0.55), (-0.1, 0.1), (-0.1, 0.1)))
+        loop = detect.LoopPath.circle(cx, cy, radius, n=128)
+        deviation = max(deviation, abs(detect.phase_winding(ax, loop) - 1))
+    away = detect.LoopPath.circle(0.6 * half, 0.0, 0.2 * half, n=128)
+    deviation = max(deviation, abs(detect.phase_winding(ax, away)))
+    table.append(("orbifold_winding_deviation", deviation, 0.0, 0.0, ()))
+
+    led = ledger.PhotonLedger(nu=omega / (2.0 * math.pi), k=k)
+    internal, _, total = ledger.total_energy(led)
+    split = max(abs(internal / total - 0.5), abs(ledger.momentum(led) * led.c - total))
+    table.append(("energy_partition_deviation", split, 0.0, 0.0, ()))
+    return table
+
+
+def claims(model, dims: int, refinements: int) -> list[dict]:
+    """The paper's claims checked on a disclination model, one row per claim.
+
+    The model is sampled on a centred grid of ``dims`` nodes per axis (6/k
+    across, one wavelength deep); the wave residual is refined
+    ``refinements - 1`` times for its observed orders. Every row is decided
+    by one rule: passed when |value - expected| <= tolerance and every
+    observed order lies in [1.7, 2.3] (only the wave row has orders). A fit
+    or index that is undefined gives NaN, which fails its row. Raises
+    ValueError for a model that is not a disclination, refinements below 1,
+    a zero amplitude, and magnitudes whose arithmetic leaves float range.
+    """
+    if not isinstance(model, DisclinationModel):
+        raise ValueError("verify requires a disclination model descriptor")
+    if refinements < 1:
+        raise ValueError("refinements must be at least 1")
+    try:
+        table = _claim_table(model, dims, refinements)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # finite descriptor values whose squares leave float range (c = 1e308, 1e-300)
+        raise ValueError(f"model magnitudes exceed float range: {exc}") from exc
+    return [{"check": check, "value": value, "expected": expected, "tolerance": tolerance,
+             "passed": (abs(value - expected) <= tolerance
+                        and all(1.7 <= o <= 2.3 for o in orders)),
+             "orders": ";".join(f"{o:.3f}" for o in orders)}
+            for check, value, expected, tolerance, orders in table]

@@ -353,6 +353,42 @@ def test_generate_rejects_bad_descriptor(tmp_path):
     assert not (tmp_path / "field.json").exists()
 
 
+def test_generate_origin_without_spacing_exits_usage(tmp_path, capsys):
+    code = main(["generate", "--model", DISLOCATION, "--dims", "8,8,1",
+                 "--origin", "1,2,3", "--out", str(tmp_path / "field.json")])
+    assert code == EXIT_USAGE
+    assert "--origin requires --spacing" in capsys.readouterr().err
+    assert not (tmp_path / "field.json").exists()
+
+
+def test_forms_and_ledger_write_run_manifests(tmp_path, capsys):
+    stokes, led = tmp_path / "stokes.json", tmp_path / "ledger.json"
+    assert main(["forms", "--demo", "stokes", "--pairs", "5", "--seed", "3",
+                 "--out", str(stokes)]) == EXIT_OK
+    assert main(["ledger", "--nu", "2.0", "--out", str(led)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    for path, command, parameters in (
+            (stokes, "forms", {"demo": "stokes", "nodes": 16, "pairs": 5, "seed": 3}),
+            (led, "ledger", {"nu": 2.0, "wavelength": None, "units": "geometric",
+                             "with_wavenumber": False})):
+        run = json.loads((tmp_path / f"{path.name}.run.json").read_text())
+        assert run["command"] == command
+        assert run["inputs"] == [] and run["outputs"] == [str(path)]
+        assert parameters.items() <= run["parameters"].items()
+    assert json.loads(stokes.read_text())["pairs"] == 5
+
+
+def test_verify_orbifold_claim_does_not_depend_on_the_field_scale(tmp_path, capsys):
+    tiny = json.dumps({"model": "disclination", "k": 1, "a": 1e-12})
+    assert main(["verify", "--model", tiny, "--dims", "25", "--refinements", "2"]) == EXIT_OK
+    rows = [ln.split(",") for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [r[1:5] for r in rows if r[0] == "orbifold_winding_deviation"] == [
+        ["0", "0", "0", "true"]]
+    flat = json.dumps({"model": "disclination", "k": 1, "a": 0})
+    assert main(["verify", "--model", flat, "--dims", "25", "--refinements", "2"]) == EXIT_USAGE
+    assert "transverse amplitude a" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["generate"])  # missing required flags

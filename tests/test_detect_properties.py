@@ -15,7 +15,6 @@ from defectfield.detect import (
     TOL_AMP,
     AmbiguousStepError,
     DefectRecord,
-    NonIntegerWindingError,
     _find_zeros,
     _plaquette_centroid,
     _plaquette_windings,
@@ -53,7 +52,7 @@ def whole_slice_find_zeros(comps, grid, z_slice, kind):
         ring = (i + _RING[:, 0], j + _RING[:, 1])
         try:
             idx = _winding_from_values(comps[0][ring], floor)
-        except (AmbiguousStepError, NonIntegerWindingError):
+        except AmbiguousStepError:
             continue
         if idx != 0:
             records.append(DefectRecord(kind, grid.node_position(i, j, z_slice),

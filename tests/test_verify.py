@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from defectfield import (
     ScalarModel,
     UnsupportedModelError,
     WaveParams,
+    claims,
     convergence_study,
     divergence,
     electric_field,
@@ -34,6 +36,7 @@ from defectfield import (
     wave_residual,
     wave_residual_fields,
 )
+from defectfield import cli
 from defectfield.fields import harmonic_factor
 from defectfield.models import PotentialModel
 from defectfield.verify import SLAB_PLANES
@@ -510,3 +513,78 @@ def test_lorentz_and_electric_field_never_evaluate_the_model():
     electric_field(f, model)
     electric_field(f, model, dt=0.01)
     assert model.calls == 1
+
+
+def _claims_csv(rows):
+    lines = ["check,value,expected,tolerance,passed,orders"]
+    lines += [f"{r['check']},{r['value']:.12g},{r['expected']:.12g},"
+              f"{r['tolerance']:.12g},{str(r['passed']).lower()},{r['orders']}" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_claims_table_is_the_verify_csv_and_one_rule_decides_every_row(tmp_path):
+    model = DisclinationModel(WaveParams.with_dispersion(k=1.3, c=0.8, a=0.7, az=0.4 - 0.3j))
+    rows = claims(model, 25, 3)
+    out = tmp_path / "verify.csv"
+    descriptor = '{"model": "disclination", "k": 1.3, "c": 0.8, "a": 0.7, "az": [0.4, -0.3]}'
+    assert cli.main(["verify", "--model", descriptor, "--dims", "25", "--refinements", "3",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert _claims_csv(rows) == out.read_text()
+    assert [r["check"] for r in rows] == [
+        "lorentz_interior_max", "transverse_divergence_interior_max", "wave_residual_rel",
+        "rotation_rate_over_omega", "twist_per_wavelength", "tifold_index",
+        "orbifold_winding_deviation", "energy_partition_deviation"]
+    for r in rows:
+        orders = [float(o) for o in r["orders"].split(";") if o]
+        assert (r["check"] == "wave_residual_rel") == bool(orders)
+        rule = (abs(r["value"] - r["expected"]) <= r["tolerance"]
+                and all(1.7 <= o <= 2.3 for o in orders))
+        assert r["passed"] is rule is True, r
+
+
+def test_claims_off_shell_fails_only_the_wave_row():
+    # omega = 2 k c: the gauge pair, the fits, the winding and the ledger still hold
+    model = DisclinationModel(WaveParams(k=1.0, omega=2.0))
+    failed = [r["check"] for r in claims(model, 21, 2) if not r["passed"]]
+    assert failed == ["wave_residual_rel"]
+
+
+def test_claims_fail_a_nan_fit_and_an_order_outside_the_window(monkeypatch):
+    from defectfield import detect, verify
+
+    def undefined(*args, **kwargs):
+        raise detect.NonRationalIndexError(0.4)
+
+    def first_order_study(make_report, grid, refinements):
+        # a residual well inside 0.05 whose refinement shows first order
+        report = make_report(grid)
+        return [report, replace(report, interior_max=report.interior_max / 2, observed_order=1.0)]
+
+    monkeypatch.setattr(detect, "tifold_index", undefined)
+    monkeypatch.setattr(verify, "convergence_study", first_order_study)
+    rows = {r["check"]: r for r in claims(disclination(), 25, 2)}
+    assert math.isnan(rows["tifold_index"]["value"])
+    assert rows["wave_residual_rel"]["value"] <= 0.05
+    assert rows["wave_residual_rel"]["orders"] == "1.000"
+    assert [c for c, r in rows.items() if not r["passed"]] == ["wave_residual_rel", "tifold_index"]
+
+
+@pytest.mark.parametrize("model, dims, refinements, message", [
+    (DislocationModel(n=1, k=1.0, omega=1.0), 9, 1, "requires a disclination model"),
+    (disclination(), 9, 0, "refinements must be at least 1"),
+    (DisclinationModel(WaveParams.with_dispersion(k=1.0, a=0.0, az=0.0)), 9, 1,
+     "nonzero disclination amplitude"),
+    (DisclinationModel(WaveParams.with_dispersion(k=1.0, a=0.0)), 9, 1,
+     "nonzero transverse amplitude a"),
+    (DisclinationModel(WaveParams.with_dispersion(k=1.0, c=1e308)), 5, 1, "float range"),
+    (DisclinationModel(WaveParams.with_dispersion(k=1e-300)), 5, 1, "float range"),
+])
+def test_claims_input_errors_are_the_cli_messages(model, dims, refinements, message, capsys):
+    with pytest.raises(ValueError, match=message) as err:
+        claims(model, dims, refinements)
+    # the CLI prints exactly the library's message and exits 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("defectfield.models.model_from_descriptor", lambda descriptor: model)
+        assert cli.main(["verify", "--model", "{}", "--dims", str(dims),
+                         "--refinements", str(refinements)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {err.value}\n"
