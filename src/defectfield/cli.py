@@ -19,6 +19,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__, detect, fieldio, fields, forms, ledger, models, verify
+
 EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
 EXIT_USAGE = 2
@@ -28,8 +32,6 @@ EXIT_IO = 3
 def _write_run_manifest(out_path: Path, command: str, inputs, parameters, outputs,
                         started: float) -> None:
     """Write the reproducibility record ``<out_path>.run.json`` next to an output."""
-    from . import __version__
-
     manifest = {
         "command": command,
         "inputs": [str(p) for p in inputs],
@@ -81,11 +83,11 @@ def _emit(text: str, args, started: float, parameters: dict, inputs=()) -> None:
 
 
 def cmd_generate(args) -> int:
-    from . import fieldio, fields, models
-
     started = time.perf_counter()
     if args.origin is not None and args.spacing is None:
         raise ValueError("--origin requires --spacing")
+    if args.extent is not None and args.spacing is not None:
+        raise ValueError("--extent and --spacing are exclusive")
     descriptor = _load_descriptor(args.model)
     model = models.model_from_descriptor(descriptor)
     dims = _parse_triple(args.dims, int)
@@ -93,7 +95,8 @@ def cmd_generate(args) -> int:
         origin = _parse_triple(args.origin, float) if args.origin else (0.0, 0.0, 0.0)
         grid = fields.GridSpec(dims, _parse_triple(args.spacing, float), origin)
     else:
-        grid = fields.GridSpec.centered(_parse_triple(args.extent, float), dims)
+        extent = "6.0" if args.extent is None else args.extent
+        grid = fields.GridSpec.centered(_parse_triple(extent, float), dims)
     if hasattr(model, "components"):
         field = fields.sample_potential(model, grid, args.time)
     else:
@@ -113,12 +116,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    from . import detect, fieldio
-    from .fields import PotentialField
-
     started = time.perf_counter()
     field = fieldio.load_field(args.field, z_slice=args.slice)
-    if isinstance(field, PotentialField):
+    if isinstance(field, fields.PotentialField):
         records = detect.find_disclinations(field, 0)
     else:
         records = detect.find_dislocations(field, 0)
@@ -141,8 +141,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import models, verify
-
     started = time.perf_counter()
     descriptor = _load_descriptor(args.model)
     rows = verify.claims(models.model_from_descriptor(descriptor), args.dims, args.refinements)
@@ -158,10 +156,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_forms(args) -> int:
-    import numpy as np
-
-    from . import forms
-
     started = time.perf_counter()
     if args.demo == "stokes":
         if args.pairs < 1:
@@ -209,8 +203,6 @@ def cmd_forms(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    from . import ledger
-
     started = time.perf_counter()
     units = ledger.UNIT_SYSTEMS[args.units]
     if args.wavelength is not None and args.nu is not None:
@@ -302,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", required=True,
                    help="model descriptor: JSON text or a path to a JSON file")
     g.add_argument("--dims", required=True, help="node counts, e.g. 64,64,8")
-    g.add_argument("--extent", default="6.0",
-                   help="box extent for a centered grid (scalar or triple)")
+    g.add_argument("--extent", default=None,
+                   help="box extent for a centered grid (scalar or triple; 6.0 when "
+                        "neither --extent nor --spacing is given)")
     g.add_argument("--spacing", default=None, help="explicit node spacing triple")
     g.add_argument("--origin", default=None, help="grid origin triple (with --spacing)")
     g.add_argument("--time", type=float, default=0.0, help="sampling time")

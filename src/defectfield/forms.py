@@ -6,12 +6,10 @@ cell, edge values representing the integral of a 1-form along the edge.
 One incidence rule (``CubicalComplex.lower_cells``) gives the coboundary,
 as signed sums over each cell's lower cells, and, on a chain's own cells,
 its boundary: the discrete Stokes identity holds exactly, at a cost set by
-the chain. The sparse matrices ``d0``/``d1`` come from the same rule and
-are built, with a scipy import, only when a caller asks for them. Period
-integrals of continuous 1-forms over smooth closed curves use midpoint
-quadrature with one Richardson extrapolation; an edge-integrated angular
-form on a complex with a rectangular hole witnesses closed-but-not-exact
-cohomology.
+the chain. Period integrals of continuous 1-forms over smooth closed curves
+use midpoint quadrature with one Richardson extrapolation; an
+edge-integrated angular form on a complex with a rectangular hole witnesses
+closed-but-not-exact cohomology.
 """
 
 from __future__ import annotations
@@ -19,13 +17,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,9 +97,9 @@ class CubicalComplex:
     def lower_cells(self, degree: int, cells) -> tuple[np.ndarray, np.ndarray]:
         """Oriented lower cells of the given p-cells, by index arithmetic.
 
-        Returns (lower, signs); each row, the row of ``d0`` or ``d1``, lists a
-        cell's lower cells in ascending order: an edge's (tail -1, head +1), a
-        face's counterclockwise loop (bottom +1, top -1, left -1, right +1).
+        Returns (lower, signs); each row lists a cell's lower cells in
+        ascending order: an edge's (tail -1, head +1), a face's
+        counterclockwise loop (bottom +1, top -1, left -1, right +1).
         """
         cells = np.asarray(cells, dtype=np.int64)
         if degree == 1:  # x-edge j*(nx-1)+i and y-edge n_xedges+j*nx+i leave vertex j*nx+i
@@ -118,24 +111,6 @@ class CubicalComplex:
         # face j*(nx-1)+i: x-edges j*(nx-1)+i and (j+1)*(nx-1)+i, y-edges n_xedges+j*nx+i (+1)
         left = self.n_xedges + cells + cells // (self.nx - 1)
         return np.array([cells, cells + self.nx - 1, left, left + 1]).T, np.array([1, -1, -1, 1])
-
-    def _incidence(self, degree: int) -> sparse.csr_matrix:
-        from scipy import sparse  # only a caller that asks for a matrix loads scipy
-
-        lower, signs = self.lower_cells(degree, np.arange(self.n_cells(degree)))
-        indptr = np.arange(0, lower.size + 1, lower.shape[1])
-        return sparse.csr_matrix((np.resize(signs, lower.size), lower.ravel(), indptr),
-                                 shape=(len(lower), self.n_cells(degree - 1)))
-
-    @cached_property
-    def d0(self) -> sparse.csr_matrix:
-        """Edge-by-vertex incidence: row e has -1 at its tail, +1 at its head."""
-        return self._incidence(1)
-
-    @cached_property
-    def d1(self) -> sparse.csr_matrix:
-        """Face-by-edge incidence for the counterclockwise face boundary."""
-        return self._incidence(2)
 
 
 def _integer(value, what: str) -> int:
@@ -212,9 +187,8 @@ class DiscreteForm:
 def _row_sums(lower, signs, values) -> np.ndarray:
     """Each ``lower_cells`` row's signed sum of ``values``, d·values on those rows.
 
-    A row is added in ascending lower-cell order from zero, the order in which
-    the CSR product ``d0 @ values`` or ``d1 @ values`` adds it, so the two agree
-    bit for bit.
+    A row is added from 0.0 in ascending lower-cell order, so a cell's sum is
+    the same bits whether it is taken over the whole complex or a chain.
     """
     return sum((signs * values[lower]).T, np.zeros(len(lower)))
 

@@ -379,7 +379,9 @@ def claims(model, dims: int, refinements: int) -> list[dict]:
         table = _claim_table(model, dims, refinements)
     except (OverflowError, ZeroDivisionError) as exc:
         # finite descriptor values whose squares leave float range (c = 1e308, 1e-300)
-        raise ValueError(f"model magnitudes exceed float range: {exc}") from exc
+        p = model.params
+        raise ValueError(f"model magnitudes exceed float range: k={p.k:g}, c={p.c:g}, "
+                         f"omega={p.omega:g}, a={p.a:g}, az={p.az:g}") from exc
     return [{"check": check, "value": value, "expected": expected, "tolerance": tolerance,
              "passed": (abs(value - expected) <= tolerance
                         and all(1.7 <= o <= 2.3 for o in orders)),

@@ -201,7 +201,9 @@ def test_verify_underflowing_wave_scale_is_not_a_zero_amplitude(capsys):
 def test_verify_extreme_magnitudes_exit_usage(descriptor, capsys):
     argv = ["verify", "--model", json.dumps(descriptor), "--dims", "5", "--refinements", "1"]
     assert main(argv) == EXIT_USAGE
-    assert "float range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the model's parameters, not the overflow's errno tuple
+    assert "float range: k=" in err and "(34," not in err
 
 
 def test_verify_requires_disclination(tmp_path, capsys):
@@ -361,6 +363,14 @@ def test_generate_origin_without_spacing_exits_usage(tmp_path, capsys):
     assert not (tmp_path / "field.json").exists()
 
 
+def test_generate_extent_with_spacing_exits_usage(tmp_path, capsys):
+    code = main(["generate", "--model", DISLOCATION, "--dims", "4,4,1", "--extent", "4",
+                 "--spacing", "0.5", "--out", str(tmp_path / "field.json")])
+    assert code == EXIT_USAGE
+    assert "--extent and --spacing are exclusive" in capsys.readouterr().err
+    assert not (tmp_path / "field.json").exists()
+
+
 def test_forms_and_ledger_write_run_manifests(tmp_path, capsys):
     stokes, led = tmp_path / "stokes.json", tmp_path / "ledger.json"
     assert main(["forms", "--demo", "stokes", "--pairs", "5", "--seed", "3",
@@ -412,7 +422,7 @@ def test_main_reuses_its_parser_without_carrying_values_over(tmp_path, capsys):
     assert main(["generate", "--model", DISLOCATION, "--dims", "5,5,2",
                  "--out", str(again)]) == EXIT_OK
     run = json.loads((tmp_path / "again.json.run.json").read_text())
-    assert run["parameters"]["extent"] == "6.0"
+    assert run["parameters"]["extent"] is None   # omitted: the centred extent of 6.0
     assert json.loads(again.read_text())["spacing"] == [1.5, 1.5, 6.0]
     for argv in (["--help"], ["detect", "--help"]):
         with pytest.raises(SystemExit) as err:

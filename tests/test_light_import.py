@@ -1,5 +1,5 @@
-"""Importing the package and running the CLI pipelines loads no scipy module; the
-sparse incidence matrices, the one thing scipy is used for, still build when read."""
+"""Every CLI command and every demo runs with scipy blocked: numpy is the package's
+only dependency."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(str(p) for p in (ROOT / "demos").glob("*.py"))
 
 DISCLINATION = json.dumps({"model": "disclination", "k": 1.0, "c": 1.0})
 DISLOCATION = json.dumps({"model": "dislocation", "n": 2})
@@ -31,56 +32,31 @@ COMMANDS = [
 ]
 
 SCRIPT = """
-import json, sys
-import defectfield, defectfield.cli
-from defectfield import cli, forms
+import contextlib, io, json, runpy, sys
+sys.modules["scipy"] = None   # any import of scipy or a submodule now raises ImportError
+try:
+    import scipy.sparse
+    blocked = False
+except ImportError:
+    blocked = True
+from defectfield import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-loaded = {"import": scipy_modules()}
-exits = []
-for argv, _ in json.loads(sys.argv[1]):
-    exits.append(cli.main(argv))
-    loaded[argv[0] + " " + argv[2]] = scipy_modules()
-cx = forms.CubicalComplex(3, 2)
-d0, d1 = cx.d0, cx.d1
-print(json.dumps({
-    "exits": exits, "loaded": loaded, "after_d0": "scipy.sparse" in sys.modules,
-    "cached": cx.d0 is d0 and cx.d1 is d1,
-    "matrices": [{"format": m.format, "dtype": str(m.dtype), "shape": list(m.shape),
-                  "sorted": bool(m.has_sorted_indices), "indptr": m.indptr.tolist(),
-                  "indices": m.indices.tolist(), "data": m.data.tolist()} for m in (d0, d1)],
-}))
+commands, demos = json.loads(sys.argv[1])
+exits = [cli.main(argv) for argv, _ in commands]
+for demo in demos:
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(demo, run_name="__main__")
+print(json.dumps({"blocked": blocked, "exits": exits, "demos": len(demos)}))
 """
 
 
-def _csr(dense):
-    """CSR arrays of a small dense matrix, row by row in ascending column order."""
-    indptr, indices, data = [0], [], []
-    for row in dense:
-        cols = [c for c, v in enumerate(row) if v]
-        indices += cols
-        data += [row[c] for c in cols]
-        indptr.append(len(indices))
-    return indptr, indices, data
-
-
-def test_cli_paths_load_no_scipy_and_incidence_builds_on_demand(tmp_path):
+def test_cli_commands_and_demos_run_with_scipy_blocked(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(COMMANDS)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps([COMMANDS, DEMOS])],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["blocked"]
     assert len(result["exits"]) == len(COMMANDS)
     assert all(code <= highest for code, (_, highest) in zip(result["exits"], COMMANDS))
-    assert all(mods == [] for mods in result["loaded"].values()), result["loaded"]
-    assert result["after_d0"] and result["cached"]
-    # 3x2 nodes: vertex j*3+i; x-edges j*2+i, then y-edges 4+j*3+i; faces j*2+i
-    d0 = [[-1, 1, 0, 0, 0, 0], [0, -1, 1, 0, 0, 0], [0, 0, 0, -1, 1, 0], [0, 0, 0, 0, -1, 1],
-          [-1, 0, 0, 1, 0, 0], [0, -1, 0, 0, 1, 0], [0, 0, -1, 0, 0, 1]]
-    d1 = [[1, 0, -1, 0, -1, 1, 0], [0, 1, 0, -1, 0, -1, 1]]
-    for got, dense in zip(result["matrices"], (d0, d1)):
-        assert got["format"] == "csr" and got["dtype"] == "int64" and got["sorted"]
-        assert got["shape"] == [len(dense), len(dense[0])]
-        assert (got["indptr"], got["indices"], got["data"]) == _csr(dense)
+    assert result["demos"] == len(DEMOS) == 5
