@@ -576,9 +576,11 @@ def test_claims_fail_a_nan_fit_and_an_order_outside_the_window(monkeypatch):
      "nonzero disclination amplitude"),
     (DisclinationModel(WaveParams.with_dispersion(k=1.0, a=0.0)), 9, 1,
      "nonzero transverse amplitude a"),
-    (DisclinationModel(WaveParams.with_dispersion(k=1.0, c=1e308)), 5, 1,
-     r"float range: k=1, c=1e\+308, omega=1e\+308, a=1, az=1\+0j$"),
-    (DisclinationModel(WaveParams.with_dispersion(k=1e-300)), 5, 1, r"float range: k\^2"),
+    pytest.param(DisclinationModel(WaveParams.with_dispersion(k=1.0, c=1e308)), 5, 1,
+                 r"float range: k=1, c=1e\+308, omega=1e\+308, a=1, az=1\+0j$",
+                 id="model4-5-1-float range"),
+    pytest.param(DisclinationModel(WaveParams.with_dispersion(k=1e-300)), 5, 1,
+                 r"float range: k\^2", id="model5-5-1-float range"),
 ])
 def test_claims_input_errors_are_the_cli_messages(model, dims, refinements, message, capsys):
     with pytest.raises(ValueError, match=message) as err:
