@@ -71,7 +71,6 @@ from .models import (
     ProductSineModel,
     PureGaugeModel,
     ScalarModel,
-    TimeHarmonicScalar,
     UnsupportedModelError,
     WaveParams,
     azimuth_beta,

@@ -88,6 +88,8 @@ def cmd_generate(args) -> int:
         raise ValueError("--origin requires --spacing")
     if args.extent is not None and args.spacing is not None:
         raise ValueError("--extent and --spacing are exclusive")
+    if not math.isfinite(args.time):
+        raise ValueError(f"--time must be finite, got {args.time!r}")
     descriptor = _load_descriptor(args.model)
     model = models.model_from_descriptor(descriptor)
     dims = _parse_triple(args.dims, int)
@@ -97,10 +99,10 @@ def cmd_generate(args) -> int:
     else:
         extent = "6.0" if args.extent is None else args.extent
         grid = fields.GridSpec.centered(_parse_triple(extent, float), dims)
-    if hasattr(model, "components"):
-        field = fields.sample_potential(model, grid, args.time)
-    else:
+    if isinstance(model, models.ScalarModel):
         field = fields.sample_scalar(model, grid, args.time)
+    else:
+        field = fields.sample_potential(model, grid, args.time)
     manifest_path, data_path = fieldio.save_field(field, args.out)
     _write_run_manifest(
         manifest_path, "generate",

@@ -210,18 +210,18 @@ def _on_grid(values, grid: GridSpec) -> np.ndarray:
 
 
 def sample_scalar(model, grid: GridSpec, t: float) -> ComplexScalarField:
-    """Evaluate a scalar-valued model at every grid node at time t (x fastest)."""
-    if not hasattr(model, "value"):
+    """Evaluate a one-component (scalar) model at every grid node at time t (x fastest)."""
+    comps = model.components(*(c.T for c in grid.open_grid()), t)
+    if len(comps) != 1:
         raise TypeError("sample_scalar requires a scalar-valued model")
-    values = model.value(*(c.T for c in grid.open_grid()), t)
-    return ComplexScalarField(grid, t, _on_grid(values, grid))
+    return ComplexScalarField(grid, t, _on_grid(comps[0], grid))
 
 
 def sample_potential(model, grid: GridSpec, t: float) -> PotentialField:
     """Evaluate a four-component potential model at every grid node at time t (x fastest)."""
-    if not hasattr(model, "components"):
-        raise TypeError("sample_potential requires a potential-valued model")
     comps = model.components(*(c.T for c in grid.open_grid()), t)
+    if len(comps) != 4:
+        raise TypeError("sample_potential requires a potential-valued model")
     return PotentialField(grid, t, *(_on_grid(c, grid) for c in comps))
 
 
@@ -356,10 +356,8 @@ def time_derivatives(model, x, y, z, t, order: int = 1, dt=None) -> tuple:
     (0 for static models), so the result is one evaluation at t times
     ``harmonic_factor(model, order, dt)``: the closed form with ``dt=None``,
     the 2-point (order 1) or 3-point (order 2) central difference with a
-    finite ``dt`` > 0. Returns the four potential components, or a 1-tuple
-    for scalar models.
+    finite ``dt`` > 0. Returns one value per component: four for a
+    potential, one for a scalar model.
     """
     f = harmonic_factor(model, order, dt)
-    if hasattr(model, "components"):
-        return tuple(f * v for v in model.components(x, y, z, t))
-    return (f * model.value(x, y, z, t),)
+    return tuple(f * v for v in model.components(x, y, z, t))

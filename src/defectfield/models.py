@@ -88,40 +88,33 @@ def azimuth_beta(ax, ay):
 
 
 class ScalarModel:
-    """Base for complex scalar wave models."""
+    """Base for complex scalar wave models S(x, y, z) * exp(-i*omega*t).
 
-    def value(self, x, y, z, t):
-        raise NotImplementedError
-
-    def gradient(self, x, y, z, t):
-        raise UnsupportedModelError(f"{type(self).__name__} has no analytic gradient")
-
-
-class TimeHarmonicScalar(ScalarModel):
-    """Scalar model of the separable form S(x, y, z) * exp(-i*omega*t)."""
-
-    omega: float = 0.0
+    A subclass supplies ``spatial``, its ``omega`` and, when it has one, an
+    analytic ``spatial_gradient``. ``components`` is the 1-tuple (psi,), as
+    a potential's is (Ax, Ay, Az, Phi).
+    """
 
     def spatial(self, x, y, z):
         raise NotImplementedError
 
     def spatial_gradient(self, x, y, z):
-        raise NotImplementedError
-
-    def _phase(self, t):
-        return np.exp(-1j * self.omega * t)
+        raise UnsupportedModelError(f"{type(self).__name__} has no analytic gradient")
 
     def value(self, x, y, z, t):
-        return self.spatial(x, y, z) * self._phase(t)
+        return self.spatial(x, y, z) * np.exp(-1j * self.omega * t)
 
     def gradient(self, x, y, z, t):
-        ph = self._phase(t)
         gx, gy, gz = self.spatial_gradient(x, y, z)
+        ph = np.exp(-1j * self.omega * t)
         return (gx * ph, gy * ph, gz * ph)
+
+    def components(self, x, y, z, t):
+        return (self.value(x, y, z, t),)
 
 
 @dataclass(frozen=True)
-class ConstantScalar(TimeHarmonicScalar):
+class ConstantScalar(ScalarModel):
     """Spatially and temporally constant complex value."""
 
     value0: complex = 1.0 + 0.0j
@@ -136,7 +129,7 @@ class ConstantScalar(TimeHarmonicScalar):
 
 
 @dataclass(frozen=True)
-class PlaneWaveModel(TimeHarmonicScalar):
+class PlaneWaveModel(ScalarModel):
     """amplitude * exp(i*(kvec . r - omega*t)); kvec may be zero (pure oscillation)."""
 
     kvec: tuple[float, float, float] = (0.0, 0.0, 1.0)
@@ -165,7 +158,7 @@ class PlaneWaveModel(TimeHarmonicScalar):
 
 
 @dataclass(frozen=True)
-class DislocationModel(TimeHarmonicScalar):
+class DislocationModel(ScalarModel):
     """Screw dislocation: a * r^|n| * exp(i*(n*theta + k*z - omega*t)).
 
     The amplitude vanishes on the z axis and the phase winds n times
@@ -204,7 +197,7 @@ class DislocationModel(TimeHarmonicScalar):
 
 
 @dataclass(frozen=True)
-class ProductSineModel(TimeHarmonicScalar):
+class ProductSineModel(ScalarModel):
     """a * sin(qx*x) * sin(qy*y) * exp(i*(kz*z - omega*t)): a separable standing pattern."""
 
     qx: float = 1.0

@@ -191,13 +191,13 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
     whole-grid ``laplacian`` bit for bit.
 
     Without ``reduce`` the slabs fill one grid-sized array per component,
-    returned by name. With ``reduce``, nothing is stored and None is
-    returned: each slab's residual of each component goes to
-    ``reduce(residual, x_slice)``, where x_slice holds the slab's x planes
-    and the residual has the component's broadcast shape over them (length
-    1 along any axis it does not vary along, x included). The residual is a
-    view of a buffer that the next call overwrites, so ``reduce`` copies
-    whatever it keeps.
+    returned by name (``psi`` for a one-component model). With ``reduce``,
+    nothing is stored and None is returned: each slab's residual of each
+    component goes to ``reduce(residual, x_slice)``, where x_slice holds
+    the slab's x planes and the residual has the component's broadcast
+    shape over them (length 1 along any axis it does not vary along, x
+    included). The residual is a view of a buffer that the next call
+    overwrites, so ``reduce`` copies whatever it keeps.
     """
     if c is None:
         c = getattr(model, "c", None)
@@ -205,16 +205,7 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
             raise UnsupportedModelError("model has no wave speed; pass c explicitly")
     coef = harmonic_factor(model, 2, dt) / c ** 2
     X, Y, Z = grid.open_grid()
-    if hasattr(model, "components"):
-        names, what = POTENTIAL_COMPONENTS, ("ax value", "ay value", "az value", "phi value")
-        evaluate = model.components
-    else:
-        names, what = ("psi",), ("scalar value",)
-
-        def evaluate(x, y, z, t):
-            return (model.value(x, y, z, t),)
-    out = None if reduce is not None else {
-        name: np.empty(grid.dims, dtype=np.complex128) for name in names}
+    out = None
     checked = 0  # x planes [0, checked) are known finite
     # one stencil buffer for every slab and component: a fresh array per
     # stencil faults in new pages, which cost more than the stencil itself
@@ -222,7 +213,11 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
                     dtype=np.complex128)
     for i0, i1, h0, h1 in _slabs(grid.dims[0]):
         window = (h1 - h0,) + grid.dims[1:]
-        comps = [_component(v, window) for v in evaluate(X[h0:h1], Y, Z, t)]
+        comps = [_component(v, window) for v in model.components(X[h0:h1], Y, Z, t)]
+        names, what = ((("psi",), ("scalar value",)) if len(comps) == 1 else
+                       (POTENTIAL_COMPONENTS, ("ax value", "ay value", "az value", "phi value")))
+        if reduce is None and out is None:
+            out = {name: np.empty(grid.dims, dtype=np.complex128) for name in names}
         for f, label in zip(comps, what, strict=True):
             if f.shape[0] > 1:
                 _require_finite(f[checked - h0:], label, checked)
@@ -309,16 +304,20 @@ def _claim_table(model, dims: int, refinements: int) -> list[tuple]:
     k, omega = model.params.k, model.params.omega
     grid = GridSpec.centered((6.0 / k, 6.0 / k, 2.0 * math.pi / k), (dims, dims, dims))
     sampled = sample_potential(model, grid, 0.0)
-    region = interior_slices(grid.dims)
-    peaks = [float(np.abs(c[region]).max())
-             for c in (sampled.ax, sampled.ay, sampled.az, sampled.phi)]
-    if max(peaks) == 0:
+    comps = (sampled.ax, sampled.ay, sampled.az, sampled.phi)
+    # whole-grid peaks: at dims 5 the interior is the one node on the axis
+    ax_peak, *others = (float(np.abs(c).max()) for c in comps)
+    if max(ax_peak, *others) == 0:
         raise ValueError("verify requires a nonzero disclination amplitude (a or az)")
+    region = interior_slices(grid.dims)
+    peaks = [float(np.abs(c[region]).max()) for c in comps]
+    if max(peaks) == 0:
+        raise ValueError(f"every component vanishes in the grid interior, which at "
+                         f"--dims {dims} is the axis node alone; use a larger --dims")
     # the wave residual is reported relative to k^2 * max|A|
     wave_scale = k * k * max(peaks)
     if wave_scale == 0:
         raise ValueError("model magnitudes exceed float range: k^2 * max|A| underflows to 0")
-    ax_peak = float(np.abs(sampled.ax).max())  # whole grid: at dims 5 the interior is the axis
     if ax_peak == 0:
         raise ValueError("verify requires a nonzero transverse amplitude a: "
                          "Ax vanishes, so it has no zero line to wind around")

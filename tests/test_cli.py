@@ -363,6 +363,15 @@ def test_generate_origin_without_spacing_exits_usage(tmp_path, capsys):
     assert not (tmp_path / "field.json").exists()
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_generate_non_finite_time_exits_usage(tmp_path, capsys, time):
+    code = main(["generate", "--model", DISLOCATION, "--dims", "4,4,1", f"--time={time}",
+                 "--out", str(tmp_path / "field.json")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --time must be finite, got {float(time)!r}\n"
+    assert not (tmp_path / "field.json").exists()
+
+
 def test_generate_extent_with_spacing_exits_usage(tmp_path, capsys):
     code = main(["generate", "--model", DISLOCATION, "--dims", "4,4,1", "--extent", "4",
                  "--spacing", "0.5", "--out", str(tmp_path / "field.json")])

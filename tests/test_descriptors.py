@@ -1,8 +1,10 @@
 """Property tests for model descriptors (decoding and input validation)."""
 
+import numpy as np
 import pytest
 
-from defectfield import model_from_descriptor
+from defectfield import model_from_descriptor, time_derivatives
+from defectfield.fields import harmonic_factor
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -80,6 +82,23 @@ def _assert_carries(model, descriptor):
 @hypothesis.given(DESCRIPTORS)
 def test_valid_descriptors_round_trip(descriptor):
     _assert_carries(model_from_descriptor(descriptor), descriptor)
+
+
+@SETTINGS
+@hypothesis.given(DESCRIPTORS)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_model_answers_components_and_their_time_derivative(descriptor):
+    model = model_from_descriptor(descriptor)
+    point = (0.3, -0.7, 0.2, 0.4)
+    if descriptor["model"] == "disclination" and descriptor["omega"] == 0:
+        with pytest.raises(ValueError, match="omega = 0"):
+            model.components(*point)
+        return
+    comps = model.components(*point)
+    # a potential's (Ax, Ay, Az, Phi), a scalar model's (psi,)
+    assert len(comps) == (4 if descriptor["model"] in ("disclination", "pure_gauge") else 1)
+    expected = [harmonic_factor(model, 1) * v for v in comps]
+    np.testing.assert_array_equal(time_derivatives(model, *point), expected)
 
 
 @SETTINGS

@@ -110,18 +110,25 @@ def test_sampling_matches_dense_evaluation(model, dims):
     grid = GridSpec.centered((4.0, 3.0, 2.5), dims)
     X, Y, Z = grid.meshgrid()  # dense reference
     for t in (0.0, 0.37):
-        if hasattr(model, "components"):
-            dense = model.components(X, Y, Z, t)
+        dense = model.components(X, Y, Z, t)
+        if len(dense) == 4:
             f = sample_potential(model, grid, t)
             sampled = (f.ax, f.ay, f.az, f.phi)
         else:
-            dense = (model.value(X, Y, Z, t),)
             sampled = (sample_scalar(model, grid, t).values,)
         for ref, got in zip(dense, sampled, strict=True):
             ref = np.broadcast_to(np.asarray(ref, dtype=np.complex128), dims)
             assert got.shape == dims
             assert got.T.flags.c_contiguous  # x fastest, the order of a field file
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()  # bit for bit
+
+
+def test_samplers_reject_the_other_kind_by_component_count():
+    grid = GridSpec.centered((2.0, 2.0, 1.0), (3, 3, 1))
+    with pytest.raises(TypeError, match="^sample_potential requires a potential-valued model$"):
+        sample_potential(DislocationModel(n=1), grid, 0.0)
+    with pytest.raises(TypeError, match="^sample_scalar requires a scalar-valued model$"):
+        sample_scalar(DisclinationModel(WaveParams.with_dispersion(k=1.0)), grid, 0.0)
 
 
 def test_sample_potential_zero_and_disclination():
@@ -306,7 +313,7 @@ def test_time_derivatives_closed_form_matches_differences():
         for order, tol in ((1, 1e-7), (2, 1e-6)):
             exact = time_derivatives(model, x, y, z, t, order=order)
             numeric = time_derivatives(model, x, y, z, t, order=order, dt=1e-4)
-            assert len(exact) == (4 if hasattr(model, "components") else 1)
+            assert len(exact) == len(model.components(x, y, z, t))
             for e, n in zip(exact, numeric):
                 assert abs(e - n) < tol
     # static models declare omega = 0: every derivative vanishes

@@ -305,8 +305,8 @@ def test_wave_residual_numeric_time_matches_analytic():
 def test_wave_residual_report_matches_fields(model, dt, c):
     grid = GridSpec.centered((5.0, 4.0, 3.0), (19, 15, 11))
     fields = wave_residual_fields(model, grid, 0.2, dt=dt, c=c)
-    assert list(fields) == (["Ax", "Ay", "Az", "Phi"] if hasattr(model, "components")
-                            else ["psi"])
+    count = len(model.components(0.0, 0.0, 0.0, 0.2))
+    assert list(fields) == (["Ax", "Ay", "Az", "Phi"] if count == 4 else ["psi"])
     region = interior_slices(grid.dims)
     mags = np.concatenate([np.abs(a[region]).ravel() for a in fields.values()])
     report = wave_residual(model, grid, 0.2, dt=dt, c=c)
@@ -336,7 +336,7 @@ MODEL_KINDS = {
 
 def dense_wave_residual(model, grid, t, dt, c):
     """Reference: whole-grid laplacian of each sampled component minus its time term."""
-    if hasattr(model, "components"):
+    if len(model.components(0.0, 0.0, 0.0, t)) == 4:
         f = sample_potential(model, grid, t)
         comps = {"Ax": f.ax, "Ay": f.ay, "Az": f.az, "Phi": f.phi}
     else:
@@ -463,13 +463,10 @@ class _Counting:
 
     def __init__(self, model):
         self.model, self.calls = model, 0
-        name = "components" if hasattr(model, "components") else "value"
 
-        def evaluate(*args):
-            self.calls += 1
-            return getattr(model, name)(*args)
-
-        setattr(self, name, evaluate)
+    def components(self, *args):
+        self.calls += 1
+        return self.model.components(*args)
 
     def __getattr__(self, name):
         return getattr(self.model, name)
@@ -483,9 +480,8 @@ def test_time_step_matches_literal_central_difference(kind):
     eps = np.finfo(float).eps
 
     def evaluate(t):
-        comps = (model.model.components(X, Y, Z, t) if hasattr(model, "components")
-                 else (model.model.value(X, Y, Z, t),))
-        return [np.broadcast_to(np.asarray(v, dtype=complex), grid.dims) for v in comps]
+        return [np.broadcast_to(np.asarray(v, dtype=complex), grid.dims)
+                for v in model.model.components(X, Y, Z, t)]
 
     for t, dt in ((0.0, 1e-3), (0.7, 1e-2), (-2.3, 0.1), (1.9, 0.5)):
         minus, mid, plus = evaluate(t - dt), evaluate(t), evaluate(t + dt)
@@ -581,6 +577,10 @@ def test_claims_fail_a_nan_fit_and_an_order_outside_the_window(monkeypatch):
                  id="model4-5-1-float range"),
     pytest.param(DisclinationModel(WaveParams.with_dispersion(k=1e-300)), 5, 1,
                  r"float range: k\^2", id="model5-5-1-float range"),
+    # a = 1, but at --dims 5 the interior is the axis node, where every component is 0
+    pytest.param(DisclinationModel(WaveParams.with_dispersion(k=1.0, az=0.0)), 5, 1,
+                 r"^every component vanishes in the grid interior, which at --dims 5 is the "
+                 r"axis node alone; use a larger --dims$", id="model6-5-1-empty interior"),
 ])
 def test_claims_input_errors_are_the_cli_messages(model, dims, refinements, message, capsys):
     with pytest.raises(ValueError, match=message) as err:
