@@ -277,38 +277,59 @@ def curl(field: PotentialField):
     )
 
 
-def _add_second_difference(out: np.ndarray, f: np.ndarray, grid: GridSpec, a: int) -> None:
-    """Add the second difference of f along axis a to out, in place.
+def _central(dest: np.ndarray, f: np.ndarray, a: int, c0: int, c1: int, scale: float) -> None:
+    """dest = (f[i-1] + f[i+1] - f[i] - f[i]) * scale along axis a, for i in [c0, c1)."""
+    mid = _take(f, slice(c0, c1), a)
+    np.add(_take(f, slice(c0 - 1, c1 - 1), a), _take(f, slice(c0 + 1, c1 + 1), a), out=dest)
+    dest -= mid
+    dest -= mid
+    dest *= scale
 
-    The stencil spans f's own extent along a, which may be a window of the
-    grid's axis: nodes inside the window are exact, and a window ending at
-    the grid's edge needs four nodes there (or the whole axis). An axis
-    along which f is broadcast (length 1) adds nothing, as a constant's
-    second difference is exactly zero.
+
+def _laplacian_at(out: np.ndarray, f: np.ndarray, grid: GridSpec, region: tuple,
+                  scratch: np.ndarray) -> None:
+    """Write the sum over the axes of f's second difference at the region's nodes into out.
+
+    Along each axis f holds either one value (f does not vary along it, and
+    a constant's second difference is exactly zero) or a run of consecutive
+    nodes: the whole axis or a window of it. ``region`` gives one slice of
+    f's indices per axis, and out and scratch have its shape. A region node
+    with f's nodes on both sides takes the central stencil; one at an end of
+    f's run, which must be the grid's edge with four of f's nodes there,
+    takes the one-sided four-point stencil (on a three-node axis, the
+    central value of the middle node). The first axis f varies along is
+    written straight into out; later axes are made in scratch and added.
     """
-    n = grid.dims[a]
-    if n < 2:
-        raise ValueError(f"axis {a!r} has {n} node(s); need at least 2 to differentiate")
-    m = f.shape[a]
-    if m <= 2:
-        return
-    scale = 1.0 / grid.spacing[a] ** 2
-    mid = _take(f, slice(1, -1), a)
-    inner = _take(f, slice(None, -2), a) + _take(f, slice(2, None), a)
-    inner -= mid
-    inner -= mid
-    inner *= scale
-    view = _take(out, slice(1, -1), a)
-    view += inner
-    for end, idx in ((0, (0, 1, 2, 3)), (-1, (-1, -2, -3, -4))):
-        if m == 3:
-            value = _take(inner, 0, a)
+    for a, n in enumerate(grid.dims):
+        if n < 2:
+            raise ValueError(f"axis {a!r} has {n} node(s); need at least 2 to differentiate")
+    target = out
+    for a in range(3):
+        m = f.shape[a]
+        if m <= 2:
+            continue
+        lo, hi, _ = region[a].indices(m)
+        g = f[tuple(slice(None) if b == a else s for b, s in enumerate(region))]
+        scale = 1.0 / grid.spacing[a] ** 2
+        c0, c1 = max(lo, 1), min(hi, m - 1)
+        if c0 < c1:
+            _central(_take(target, slice(c0 - lo, c1 - lo), a), g, a, c0, c1, scale)
+        for node, idx in ((0, (0, 1, 2, 3)), (m - 1, (m - 1, m - 2, m - 3, m - 4))):
+            if not lo <= node < hi:
+                continue
+            if m == 3:
+                _central(_take(target, slice(node - lo, node - lo + 1), a), g, a, 1, 2, scale)
+            else:
+                # written as differences so constant fields cancel exactly
+                f0, f1, f2, f3 = (_take(g, i, a) for i in idx)
+                np.multiply(2.0 * (f0 - f1) - 3.0 * (f1 - f2) + (f2 - f3), scale,
+                            out=_take(target, node - lo, a))
+        if target is out:
+            target = scratch
         else:
-            # written as differences so constant fields cancel exactly
-            f0, f1, f2, f3 = (_take(f, i, a) for i in idx)
-            value = (2.0 * (f0 - f1) - 3.0 * (f1 - f2) + (f2 - f3)) * scale
-        view = _take(out, end, a)
-        view += value
+            out += scratch
+    if target is out:
+        out.fill(0)
 
 
 def laplacian(field: ComplexScalarField) -> ComplexScalarField:
@@ -319,9 +340,8 @@ def laplacian(field: ComplexScalarField) -> ComplexScalarField:
     exact at every node. A three-node axis uses its one second difference
     at all three nodes, and a two-node axis contributes zero.
     """
-    out = np.zeros(field.grid.dims, dtype=np.complex128)
-    for a in range(3):
-        _add_second_difference(out, field.values, field.grid, a)
+    out = np.empty(field.grid.dims, dtype=np.complex128)
+    _laplacian_at(out, field.values, field.grid, (slice(None),) * 3, np.empty_like(out))
     return ComplexScalarField(field.grid, field.time, out)
 
 

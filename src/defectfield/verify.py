@@ -17,7 +17,8 @@ rows of the open grid plus a one-plane halo, and keeps each component in
 the model's own broadcast shape, so an axis a component does not vary
 along costs no stencil. Its values equal the whole-grid
 ``fields.laplacian`` bit for bit. Each slab's residual either fills a
-grid-sized array or goes to ``reduce(residual, x_slice)``, which
+grid-sized array, or, with ``reduce``, is computed at the interior nodes
+alone (bit-identical there) and its magnitudes go to ``reduce``, which
 ``wave_residual`` uses to fold the interior max and rms as it goes.
 
 ``claims`` checks the paper's claims for a disclination model as a table
@@ -38,8 +39,8 @@ from .fields import (
     GridSpec,
     PotentialField,
     UnsupportedModelError,
-    _add_second_difference,
     _diff_array,
+    _laplacian_at,
     _require_finite,
     curl,
     divergence,
@@ -181,23 +182,25 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
 
     One walk over x slabs of SLAB_PLANES planes: each slab evaluates the
     model on its rows of the open grid plus a halo plane each side, checks
-    the planes no earlier slab checked for finiteness, applies the second
-    difference of ``fields.laplacian`` per axis (x, y, z), subtracts the
-    time term ``harmonic_factor(model, 2, dt)/c^2 * f`` (the closed form,
-    or the factor of a 3-point central difference when dt is given) and
-    keeps only its own planes, so each slab is evaluated once, at t, on
-    either path. Each component stays in the model's broadcast shape, so
-    an axis it does not vary along costs nothing. The values equal the
-    whole-grid ``laplacian`` bit for bit.
+    the planes no earlier slab checked for finiteness, and computes the
+    residual on its own planes only: the second difference of
+    ``fields.laplacian`` per axis (x, y, z) minus the time term
+    ``harmonic_factor(model, 2, dt)/c^2 * f`` (the closed form, or the
+    factor of a 3-point central difference when dt is given). So each slab
+    is evaluated once, at t, on either path. Each component stays in the
+    model's broadcast shape, so an axis it does not vary along costs
+    nothing. The values equal the whole-grid ``laplacian`` bit for bit.
 
     Without ``reduce`` the slabs fill one grid-sized array per component,
     returned by name (``psi`` for a one-component model). With ``reduce``,
-    nothing is stored and None is returned: each slab's residual of each
-    component goes to ``reduce(residual, x_slice)``, where x_slice holds
-    the slab's x planes and the residual has the component's broadcast
-    shape over them (length 1 along any axis it does not vary along, x
-    included). The residual is a view of a buffer that the next call
-    overwrites, so ``reduce`` copies whatever it keeps.
+    nothing is stored and None is returned: the residual is computed at the
+    interior nodes only (``interior_slices``), bit-identical at every node
+    it reports, and each slab's |residual| of each component goes to
+    ``reduce(magnitudes, weight)``. The magnitudes cover the slab's interior
+    planes and rows, with length 1 along any axis the component does not
+    vary along (x included), each value standing for ``weight`` interior
+    nodes. They are a view of a buffer that the next call overwrites, so
+    ``reduce`` may write into it and copies whatever it keeps.
     """
     if c is None:
         c = getattr(model, "c", None)
@@ -205,12 +208,16 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
             raise UnsupportedModelError("model has no wave speed; pass c explicitly")
     coef = harmonic_factor(model, 2, dt) / c ** 2
     X, Y, Z = grid.open_grid()
+    # the nodes the walk computes: the interior when it folds, else the grid
+    rows = interior_slices(grid.dims) if reduce else (slice(None),) * 3
+    spans = [range(*s.indices(n)) for s, n in zip(rows, grid.dims)]
     out = None
     checked = 0  # x planes [0, checked) are known finite
-    # one stencil buffer for every slab and component: a fresh array per
-    # stencil faults in new pages, which cost more than the stencil itself
-    work = np.empty((min(SLAB_PLANES + 2, grid.dims[0]),) + grid.dims[1:],
-                    dtype=np.complex128)
+    # two buffers for every slab and component: the residual and a scratch for
+    # the later axes, the time term and |residual|; a fresh array per stencil
+    # faults in new pages, which cost more than the stencil itself
+    size = min(SLAB_PLANES, grid.dims[0]) * len(spans[1]) * len(spans[2])
+    acc, scratch = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
     for i0, i1, h0, h1 in _slabs(grid.dims[0]):
         window = (h1 - h0,) + grid.dims[1:]
         comps = [_component(v, window) for v in model.components(X[h0:h1], Y, Z, t)]
@@ -224,18 +231,28 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
             elif checked == 0:
                 _require_finite(f, label)
         checked = h1
-        for name, f in zip(names, comps):
-            lap = work[tuple(slice(n) for n in f.shape)]
-            lap.fill(0)
-            for a in range(3):
-                _add_second_difference(lap, f, grid, a)
-            own = slice(i0 - h0, i1 - h0) if f.shape[0] > 1 else slice(None)
-            r = lap[own]
-            r -= coef * f[own]
+        # the slab's planes to compute; a slab with none is still checked
+        own = range(max(i0, spans[0].start), min(i1, spans[0].stop))
+        for name, f in zip(names, comps if own else ()):
+            # f's indices of those nodes, and the number of them each value
+            # stands for along the axes f is broadcast on
+            region, weight = [], 1
+            for m, span, h in zip(f.shape, (own, *spans[1:]), (h0, 0, 0)):
+                if m == 1:
+                    region.append(slice(0, 1))
+                    weight *= len(span)
+                else:
+                    region.append(slice(span.start - h, span.stop - h))
+            region = tuple(region)
+            shape = tuple(s.stop - s.start for s in region)
+            n = math.prod(shape)
+            r, tmp = acc[:n].reshape(shape), scratch[:n].reshape(shape)
+            _laplacian_at(r, f, grid, region, tmp)
+            r -= np.multiply(coef, f[region], out=tmp)
             if reduce is None:
                 out[name][i0:i1] = r
             else:
-                reduce(r, slice(i0, i1))
+                reduce(np.abs(r, out=scratch.view(np.float64)[:n].reshape(shape)), weight)
         del comps, f  # freed before the next slab is evaluated
     return out
 
@@ -243,27 +260,16 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
 def wave_residual(model, grid: GridSpec, t: float, dt=None, c=None) -> ResidualReport:
     """Interior statistics of the wave operator applied to every component.
 
-    Each slab residual is folded into (max, sum of squares, count) as it is
+    The residual is computed at the interior nodes alone, and each slab's
+    magnitudes are folded into (max, sum of squares, count) as they are
     made; a value broadcast along an axis stands for that axis's interior
     nodes, so it is weighted by their number.
     """
-    spans = [range(*s.indices(n)) for s, n in zip(interior_slices(grid.dims), grid.dims)]
     sums = []
 
-    def fold(residual, xs):
-        rows = range(max(spans[0].start, xs.start) - xs.start,
-                     min(spans[0].stop, xs.stop) - xs.start)
-        if not rows:
-            return
-        region, weight = [], 1
-        for size, span in zip(residual.shape, [rows] + spans[1:]):
-            if size == 1:
-                region.append(slice(None))
-                weight *= len(span)
-            else:
-                region.append(slice(span.start, span.stop))
-        mx, squares, count = _interior_sums(tuple(region), residual)
-        sums.append((mx, weight * squares, weight * count))
+    def fold(mags, weight):
+        mx = float(mags.max())
+        sums.append((mx, weight * float(np.square(mags, out=mags).sum()), weight * mags.size))
 
     wave_residual_fields(model, grid, t, dt, c, reduce=fold)
     mx, rms = _max_rms(sums)
@@ -368,12 +374,16 @@ def claims(model, dims: int, refinements: int) -> list[dict]:
     observed order lies in [1.7, 2.3] (only the wave row has orders). A fit
     or index that is undefined gives NaN, which fails its row. Raises
     ValueError for a model that is not a disclination, refinements below 1,
-    a zero amplitude, and magnitudes whose arithmetic leaves float range.
+    dims of 1, a zero amplitude, and magnitudes whose arithmetic leaves
+    float range.
     """
     if not isinstance(model, DisclinationModel):
         raise ValueError("verify requires a disclination model descriptor")
     if refinements < 1:
         raise ValueError("refinements must be at least 1")
+    if dims == 1:
+        raise ValueError("verify needs --dims of at least 2: at --dims 1 the grid is "
+                         "the axis node alone, where Ax vanishes")
     try:
         table = _claim_table(model, dims, refinements)
     except (OverflowError, ZeroDivisionError) as exc:

@@ -370,6 +370,16 @@ AXIS_NODES = st.integers(2, 20)
          dt=1e-3, t=0.2)
 @example(dims=(2 * SLAB_PLANES + 3, 6, 5), spacing=(0.2, 0.4, 0.5), kind="pure_gauge",
          dt=None, t=0.2)
+# slab edges on interior edges: the last slab holds no, or one, interior plane
+@example(dims=(2 * SLAB_PLANES + 1, 6, 5), spacing=(0.2, 0.4, 0.5), kind="plane_wave",
+         dt=1e-3, t=0.2)
+@example(dims=(2 * SLAB_PLANES + 2, 5, 7), spacing=(0.2, 0.4, 0.5), kind="constant_potential",
+         dt=None, t=0.2)
+@example(dims=(2 * SLAB_PLANES + 3, 7, 6), spacing=(0.2, 0.4, 0.5), kind="disclination",
+         dt=1e-3, t=0.2)
+# one and two interior planes
+@example(dims=(5, 6, 5), spacing=(0.3, 0.4, 0.5), kind="constant_potential", dt=1e-3, t=0.2)
+@example(dims=(6, 5, 9), spacing=(0.3, 0.4, 0.5), kind="plane_wave", dt=None, t=0.2)
 def test_wave_kernel_matches_dense_reference(dims, spacing, kind, dt, t):
     model = MODEL_KINDS[kind]()
     c = None if hasattr(model, "c") else 1.3
@@ -428,6 +438,20 @@ def test_wave_kernel_names_the_global_non_finite_node(node):
         wave_residual_fields(_AxialNaN(z0), grid, 0.0)
 
 
+@pytest.mark.parametrize("kind", ["disclination", "constant_potential", "plane_wave",
+                                  "constant_scalar"])
+@pytest.mark.parametrize("dims", [(5, 6, 7), (2 * SLAB_PLANES + 1, 4, 9),
+                                  (2 * SLAB_PLANES + 3, 9, 3)])
+def test_fold_weights_count_every_interior_node_once(kind, dims):
+    model = MODEL_KINDS[kind]()
+    c = None if hasattr(model, "c") else 1.3
+    counts = []
+    wave_residual_fields(model, GridSpec(dims, (0.3, 0.4, 0.5)), 0.2, c=c,
+                         reduce=lambda mags, weight: counts.append(weight * mags.size))
+    interior = math.prod(len(range(*s.indices(n))) for s, n in zip(interior_slices(dims), dims))
+    assert sum(counts) == len(model.components(0.0, 0.0, 0.0, 0.2)) * interior
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -437,10 +461,17 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+# tracemalloc peak of the same call while the stencil still covered each slab's
+# whole window (measured before the residual was limited to the interior)
+WHOLE_WINDOW_PEAK_BYTES = 2_956_904
+
+
 def test_wave_residual_memory_stays_below_one_component():
     grid = box_grid(n=65)
     component_bytes = grid.node_count * np.dtype(np.complex128).itemsize
-    assert _traced_peak(lambda: wave_residual(disclination(), grid, 0.0)) < component_bytes
+    peak = _traced_peak(lambda: wave_residual(disclination(), grid, 0.0))
+    assert peak < component_bytes
+    assert peak <= WHOLE_WINDOW_PEAK_BYTES
 
 
 def test_lorentz_residual_evaluates_phi_alone():
@@ -581,6 +612,9 @@ def test_claims_fail_a_nan_fit_and_an_order_outside_the_window(monkeypatch):
     pytest.param(DisclinationModel(WaveParams.with_dispersion(k=1.0, az=0.0)), 5, 1,
                  r"^every component vanishes in the grid interior, which at --dims 5 is the "
                  r"axis node alone; use a larger --dims$", id="model6-5-1-empty interior"),
+    # a = 1, but a one-node grid is the axis node, where Ax is 0
+    pytest.param(disclination(), 1, 1, r"^verify needs --dims of at least 2: at --dims 1 the "
+                 r"grid is the axis node alone, where Ax vanishes$", id="model7-1-1-one node"),
 ])
 def test_claims_input_errors_are_the_cli_messages(model, dims, refinements, message, capsys):
     with pytest.raises(ValueError, match=message) as err:
