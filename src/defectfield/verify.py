@@ -15,11 +15,13 @@ The wave operator never holds a sampled grid: ``wave_residual_fields``
 walks x in slabs of SLAB_PLANES planes, evaluates the model on each slab's
 rows of the open grid plus a one-plane halo, and keeps each component in
 the model's own broadcast shape, so an axis a component does not vary
-along costs no stencil. Its values equal the whole-grid
-``fields.laplacian`` bit for bit. Each slab's residual either fills a
-grid-sized array, or, with ``reduce``, is computed at the interior nodes
-alone (bit-identical there) and its magnitudes go to ``reduce``, which
-``wave_residual`` uses to fold the interior max and rms as it goes.
+along costs no stencil. Within a slab it stencils one x plane at a time
+into plane-sized buffers, which stay in cache. Its values equal the
+whole-grid ``fields.laplacian`` bit for bit. Each plane's residual either
+fills a grid-sized array, or, with ``reduce``, is computed at the interior
+nodes alone (bit-identical there) and its magnitudes are gathered per slab
+for ``reduce``, which ``wave_residual`` uses to fold the interior max and
+rms as it goes.
 
 ``claims`` checks the paper's claims for a disclination model as a table
 of (check, value, expected, tolerance) rows, each decided by one rule.
@@ -52,8 +54,8 @@ from .models import DisclinationModel
 MATCHED = "matched"
 ANALYTIC = "analytic"
 
-# x planes per slab of the wave residual; 8 to 16 measured best at 129^3
-SLAB_PLANES = 8
+# x planes per slab of the wave residual
+SLAB_PLANES = 4
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,12 @@ def transverse_divergence(field: PotentialField) -> ResidualReport:
 def _slabs(nx: int):
     """(i0, i1, h0, h1) per slab: its own x planes [i0, i1) and the window
     [h0, h1) it evaluates, one halo plane each side, widened to at least
-    four planes (or the whole axis) so the one-sided edge stencils see f0..f3.
+    four planes (or the whole axis), downwards or, near x = 0, upwards, so
+    the one-sided edge stencils see f0..f3.
     """
     for i0 in range(0, nx, SLAB_PLANES):
         i1 = min(i0 + SLAB_PLANES, nx)
-        h1 = min(i1 + 1, nx)
+        h1 = min(max(i1 + 1, 4), nx)
         yield i0, i1, max(min(i0 - 1, h1 - 4), 0), h1
 
 
@@ -183,19 +186,25 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
     One walk over x slabs of SLAB_PLANES planes: each slab evaluates the
     model on its rows of the open grid plus a halo plane each side, checks
     the planes no earlier slab checked for finiteness, and computes the
-    residual on its own planes only: the second difference of
-    ``fields.laplacian`` per axis (x, y, z) minus the time term
-    ``harmonic_factor(model, 2, dt)/c^2 * f`` (the closed form, or the
+    residual on its own planes only, one x plane at a time: the second
+    difference of ``fields.laplacian`` per axis (x, y, z) minus the time
+    term ``harmonic_factor(model, 2, dt)/c^2 * f`` (the closed form, or the
     factor of a 3-point central difference when dt is given). So each slab
     is evaluated once, at t, on either path. Each component stays in the
     model's broadcast shape, so an axis it does not vary along costs
     nothing. The values equal the whole-grid ``laplacian`` bit for bit.
 
-    Without ``reduce`` the slabs fill one grid-sized array per component,
+    The residual and the stencil's scratch are plane-sized and reused, so
+    every pass over them stays in cache, and the previous slab's arrays are
+    kept until the next slab is built, so the allocator reuses their memory
+    instead of returning it to the system and faulting it back in.
+
+    Without ``reduce`` the planes fill one grid-sized array per component,
     returned by name (``psi`` for a one-component model). With ``reduce``,
     nothing is stored and None is returned: the residual is computed at the
     interior nodes only (``interior_slices``), bit-identical at every node
-    it reports, and each slab's |residual| of each component goes to
+    it reports, and each slab's |residual| of each component, gathered plane
+    by plane into one slab-sized buffer, goes to
     ``reduce(magnitudes, weight)``. The magnitudes cover the slab's interior
     planes and rows, with length 1 along any axis the component does not
     vary along (x included), each value standing for ``weight`` interior
@@ -213,13 +222,14 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
     spans = [range(*s.indices(n)) for s, n in zip(rows, grid.dims)]
     out = None
     checked = 0  # x planes [0, checked) are known finite
-    # two buffers for every slab and component: the residual and a scratch for
-    # the later axes, the time term and |residual|; a fresh array per stencil
-    # faults in new pages, which cost more than the stencil itself
-    size = min(SLAB_PLANES, grid.dims[0]) * len(spans[1]) * len(spans[2])
-    acc, scratch = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+    # the residual and the stencil's scratch hold one x plane of the rows;
+    # |residual| fills one slab-sized buffer
+    plane = len(spans[1]) * len(spans[2])
+    acc, scratch = np.empty(plane, dtype=np.complex128), np.empty(plane, dtype=np.complex128)
+    mags = np.empty(min(SLAB_PLANES, grid.dims[0]) * plane) if reduce else None
     for i0, i1, h0, h1 in _slabs(grid.dims[0]):
         window = (h1 - h0,) + grid.dims[1:]
+        # the previous slab's arrays are alive until this assignment
         comps = [_component(v, window) for v in model.components(X[h0:h1], Y, Z, t)]
         names, what = ((("psi",), ("scalar value",)) if len(comps) == 1 else
                        (POTENTIAL_COMPONENTS, ("ax value", "ay value", "az value", "phi value")))
@@ -243,17 +253,24 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
                     weight *= len(span)
                 else:
                     region.append(slice(span.start - h, span.stop - h))
-            region = tuple(region)
             shape = tuple(s.stop - s.start for s in region)
-            n = math.prod(shape)
-            r, tmp = acc[:n].reshape(shape), scratch[:n].reshape(shape)
-            _laplacian_at(r, f, grid, region, tmp)
-            r -= np.multiply(coef, f[region], out=tmp)
-            if reduce is None:
-                out[name][i0:i1] = r
-            else:
-                reduce(np.abs(r, out=scratch.view(np.float64)[:n].reshape(shape)), weight)
-        del comps, f  # freed before the next slab is evaluated
+            n = shape[1] * shape[2]
+            r, tmp = acc[:n].reshape((1,) + shape[1:]), scratch[:n].reshape((1,) + shape[1:])
+            # one x plane at a time; a component constant along x has one
+            # plane, which stands for all of the slab's own planes
+            targets = ([slice(i, i + 1) for i in own] if shape[0] > 1
+                       else [slice(own.start, own.stop)])
+            slab = mags[:n * shape[0]].reshape(shape) if reduce else None
+            for j, target in enumerate(targets):
+                at = (slice(region[0].start + j, region[0].start + j + 1), *region[1:])
+                _laplacian_at(r, f, grid, at, tmp)
+                r -= np.multiply(coef, f[at], out=tmp)
+                if reduce is None:
+                    out[name][target] = r
+                else:
+                    np.abs(r, out=slab[j:j + 1])
+            if reduce is not None:
+                reduce(slab, weight)
     return out
 
 
@@ -374,13 +391,15 @@ def claims(model, dims: int, refinements: int) -> list[dict]:
     observed order lies in [1.7, 2.3] (only the wave row has orders). A fit
     or index that is undefined gives NaN, which fails its row. Raises
     ValueError for a model that is not a disclination, refinements below 1,
-    dims of 1, a zero amplitude, and magnitudes whose arithmetic leaves
+    dims below 2, a zero amplitude, and magnitudes whose arithmetic leaves
     float range.
     """
     if not isinstance(model, DisclinationModel):
         raise ValueError("verify requires a disclination model descriptor")
     if refinements < 1:
         raise ValueError("refinements must be at least 1")
+    if dims < 1:
+        raise ValueError(f"--dims must be a positive integer, got {dims}")
     if dims == 1:
         raise ValueError("verify needs --dims of at least 2: at --dims 1 the grid is "
                          "the axis node alone, where Ax vanishes")

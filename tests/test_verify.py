@@ -36,7 +36,7 @@ from defectfield import (
     wave_residual,
     wave_residual_fields,
 )
-from defectfield import cli
+from defectfield import cli, verify
 from defectfield.fields import harmonic_factor
 from defectfield.models import PotentialModel
 from defectfield.verify import SLAB_PLANES
@@ -464,6 +464,9 @@ def _traced_peak(fn):
 # tracemalloc peak of the same call while the stencil still covered each slab's
 # whole window (measured before the residual was limited to the interior)
 WHOLE_WINDOW_PEAK_BYTES = 2_956_904
+# tracemalloc peak at 129^3 while the walk used 8-plane slabs and slab-sized
+# residual buffers (measured before the walk went one x plane at a time)
+SLAB_BUFFER_PEAK_BYTES_129 = 9_613_456
 
 
 def test_wave_residual_memory_stays_below_one_component():
@@ -472,6 +475,27 @@ def test_wave_residual_memory_stays_below_one_component():
     peak = _traced_peak(lambda: wave_residual(disclination(), grid, 0.0))
     assert peak < component_bytes
     assert peak <= WHOLE_WINDOW_PEAK_BYTES
+    assert _traced_peak(lambda: wave_residual(disclination(), box_grid(n=129), 0.0)) \
+        <= SLAB_BUFFER_PEAK_BYTES_129
+
+
+# x sizes that no slab size but 1 divides; 13 and 17 leave a one-plane last slab
+@pytest.mark.parametrize("dims", [(17, 9, 8), (19, 7, 10), (13, 6, 9)])
+@pytest.mark.parametrize("kind", ["disclination", "plane_wave"])
+def test_wave_residual_does_not_depend_on_the_slab_size(kind, dims, monkeypatch):
+    model = MODEL_KINDS[kind]()
+    c = None if hasattr(model, "c") else 1.3
+    grid = GridSpec(dims, (0.3, 0.4, 0.5), origin=(-2.0, -1.5, 0.2))
+    results = []
+    for planes in (1, 2, 4, 8):
+        monkeypatch.setattr(verify, "SLAB_PLANES", planes)
+        results.append((wave_residual(model, grid, 0.2, c=c),
+                        wave_residual_fields(model, grid, 0.2, c=c)))
+    (first, fields), *others = results
+    for report, other in others:
+        assert report.interior_max == first.interior_max
+        assert report.interior_rms == pytest.approx(first.interior_rms, rel=1e-15, abs=0)
+        assert all(other[name].tobytes() == fields[name].tobytes() for name in fields)
 
 
 def test_lorentz_residual_evaluates_phi_alone():
@@ -615,6 +639,10 @@ def test_claims_fail_a_nan_fit_and_an_order_outside_the_window(monkeypatch):
     # a = 1, but a one-node grid is the axis node, where Ax is 0
     pytest.param(disclination(), 1, 1, r"^verify needs --dims of at least 2: at --dims 1 the "
                  r"grid is the axis node alone, where Ax vanishes$", id="model7-1-1-one node"),
+    pytest.param(disclination(), 0, 1, r"^--dims must be a positive integer, got 0$",
+                 id="model8-0-1-no nodes"),
+    pytest.param(disclination(), -3, 1, r"^--dims must be a positive integer, got -3$",
+                 id="model9--3-1-negative"),
 ])
 def test_claims_input_errors_are_the_cli_messages(model, dims, refinements, message, capsys):
     with pytest.raises(ValueError, match=message) as err:
