@@ -4,7 +4,7 @@ Subcommands: generate (sample a model to field files), detect (defect
 report for one slice), verify (the ``verify.claims`` table as CSV), forms
 (discrete-calculus demos), ledger (energy bookkeeping), report (aggregate
 prior outputs). Exit codes: 0 success, 1 a claim check failed, 2 invalid
-usage or input, 3 I/O failure.
+usage or input (a request larger than memory included), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

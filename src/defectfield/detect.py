@@ -31,6 +31,7 @@ TOL_AMP = 1e-9  # amplitude floor of a winding loop; relative to the median in s
 REL_ZERO = 0.75  # corner amplitude, relative to the median, below which components coincide
 FIT_RESIDUAL_TOL = 1e-6
 STEP_TARGET = math.pi / 4  # per-substep alignment angle kept well inside (-pi/2, pi/2)
+N_THETA = 64  # unit-circle angles per azimuth pattern of a fit
 
 TWO_PI = 2.0 * math.pi
 # 8-node counterclockwise ring around a node as (di, dj) offsets, closed
@@ -322,11 +323,10 @@ def _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref):
     rotation, so a pattern with no other mode above FIT_RESIDUAL_TOL raises
     RigidRotationFitError: its angle is unobservable.
     """
-    n_theta = len(thetas)
     c_ref = np.fft.fft(np.exp(1j * _circle_azimuths(model, thetas, z_ref, t_ref)))
     c_tgt = np.fft.fft(np.exp(1j * beta_target))
-    modes = np.rint(np.fft.fftfreq(n_theta) * n_theta).astype(int)
-    weight = np.where(modes == 1, 0.0, np.abs(c_ref)) / n_theta
+    modes = np.rint(np.fft.fftfreq(N_THETA) * N_THETA).astype(int)
+    weight = np.where(modes == 1, 0.0, np.abs(c_ref)) / N_THETA
     i = int(np.argmax(weight))
     if weight[i] <= FIT_RESIDUAL_TOL:
         raise RigidRotationFitError(
@@ -340,7 +340,7 @@ def _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref):
     return float(alphas[best]), math.sqrt(float(g[best]))
 
 
-def _rotation_rate(model, s0, s1, rate, at, n_theta, full_output, var):
+def _rotation_rate(model, s0, s1, rate, at, full_output, var):
     """Mean rotation rate of the azimuth pattern between stations s0 and s1.
 
     ``at(s)`` gives the (z, t) of station s and ``rate`` the pattern's
@@ -348,17 +348,15 @@ def _rotation_rate(model, s0, s1, rate, at, n_theta, full_output, var):
     substeps small enough that each alignment angle stays well inside a
     quarter turn, and the per-step angles are accumulated, so rotations
     exceeding a half turn (e.g. over a full period) are tracked
-    unambiguously.
+    unambiguously. Each pattern is sampled at N_THETA angles.
     """
-    if n_theta < 16:
-        raise ValueError("n_theta must be at least 16")
     if s1 < s0:
         raise ValueError(f"{var}1 must not precede {var}0")
     if s1 == s0:
         return (0.0, 0.0) if full_output else 0.0
     m = max(1, math.ceil(abs(rate) * (s1 - s0) / 2.0 / STEP_TARGET))
     stations = np.linspace(s0, s1, m + 1)
-    thetas = TWO_PI * np.arange(n_theta) / n_theta
+    thetas = TWO_PI * np.arange(N_THETA) / N_THETA
     total = 0.0
     worst = 0.0
     for a, b in zip(stations[:-1], stations[1:]):
@@ -374,27 +372,27 @@ def _rotation_rate(model, s0, s1, rate, at, n_theta, full_output, var):
     return (result, worst) if full_output else result
 
 
-def pattern_rotation_rate(model, t0: float, t1: float, n_theta: int = 64,
-                          full_output: bool = False):
-    """Angular velocity of the rigid rotation of the z = 0 azimuth pattern."""
+def pattern_rotation_rate(model, t0: float, t1: float, full_output: bool = False):
+    """Angular velocity of the rigid rotation of the z = 0 azimuth pattern.
+
+    With ``full_output`` it returns (rate, worst per-substep alignment residual).
+    """
     return _rotation_rate(model, t0, t1, model.params.omega, lambda t: (0.0, t),
-                          n_theta, full_output, "t")
+                          full_output, "t")
 
 
-def axial_twist_per_length(model, z0: float, z1: float, t: float,
-                           n_theta: int = 64, full_output: bool = False):
+def axial_twist_per_length(model, z0: float, z1: float, t: float) -> float:
     """Signed rotation rate of the azimuth pattern per unit z at fixed time."""
-    return _rotation_rate(model, z0, z1, model.params.k, lambda z: (z, t),
-                          n_theta, full_output, "z")
+    return _rotation_rate(model, z0, z1, model.params.k, lambda z: (z, t), False, "z")
 
 
-def tifold_index(model, n_theta: int = 64, full_output: bool = False):
+def tifold_index(model, full_output: bool = False):
     """Pattern rotation over one period divided by omega, snapped to p/q (q <= 4)."""
     omega = model.params.omega
     if omega == 0:
         raise UndefinedIndexError("index undefined for omega = 0")
     period = TWO_PI / omega
-    rate, res = pattern_rotation_rate(model, 0.0, period, n_theta, full_output=True)
+    rate, res = pattern_rotation_rate(model, 0.0, period, full_output=True)
     raw = rate / omega
     snapped = Fraction(raw).limit_denominator(4)
     if abs(raw - float(snapped)) <= 1e-9:

@@ -3,9 +3,10 @@
 A field is stored as a JSON manifest next to a raw little-endian binary
 of float64 (re, im) pairs, one pair per component per node, nodes ordered
 with x varying fastest, components ordered Ax, Ay, Az, Phi for potential
-fields. The manifest's ``data`` entry is the binary's path relative to the
-manifest's directory; it may contain ``..`` (``save_field`` writes one when
-the binary sits elsewhere) or be absolute. The round trip is bit exact.
+fields. ``save_field`` writes the binary next to the manifest, named like
+it with the suffix ``.bin``, and the manifest's ``data`` entry is that name;
+``load_field`` reads ``data`` relative to the manifest's directory, ``..``
+or an absolute path included. The round trip is bit exact.
 Sampled arrays (``fields.sample_scalar``, ``fields.sample_potential``) and
 the arrays ``load_field`` returns are x fastest in memory, the file's order,
 so ``save_field`` writes them without a copy; an array in any other layout
@@ -21,7 +22,6 @@ decode the whole volume.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +32,10 @@ from .fields import (ComplexScalarField, GridSpec, PotentialField, _all_finite,
 FORMAT_VERSION = 1
 
 
-def save_field(field, manifest_path, data_path=None):
-    """Write the manifest JSON and binary data; returns (manifest, data) paths."""
+def save_field(field, manifest_path):
+    """Write the manifest JSON and its ``.bin`` next to it; returns both paths."""
     manifest_path = Path(manifest_path)
-    if data_path is None:
-        data_path = manifest_path.with_suffix(".bin")
-    data_path = Path(data_path)
+    data_path = manifest_path.with_suffix(".bin")
     if isinstance(field, PotentialField):
         kind = "potential"
         arrays = (field.ax, field.ay, field.az, field.phi)
@@ -60,7 +58,7 @@ def save_field(field, manifest_path, data_path=None):
         "spacing": list(field.grid.spacing),
         "origin": list(field.grid.origin),
         "time": field.time,
-        "data": os.path.relpath(data_path, manifest_path.parent),
+        "data": data_path.name,
     }
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest_path, data_path

@@ -369,15 +369,13 @@ def harmonic_factor(model, order: int, dt=None):
     return -(2.0 * math.sin(omega * dt / 2) / dt) ** 2
 
 
-def time_derivatives(model, x, y, z, t, order: int = 1, dt=None) -> tuple:
-    """First or second time derivative of every component of a model.
+def time_derivatives(model, x, y, z, t) -> tuple:
+    """First time derivative of every component of a model.
 
     Every model varies in time as exp(-i*omega*t) and declares ``omega``
-    (0 for static models), so the result is one evaluation at t times
-    ``harmonic_factor(model, order, dt)``: the closed form with ``dt=None``,
-    the 2-point (order 1) or 3-point (order 2) central difference with a
-    finite ``dt`` > 0. Returns one value per component: four for a
-    potential, one for a scalar model.
+    (0 for static models), so the result is one evaluation at t times the
+    closed form ``harmonic_factor(model, 1)``. Returns one value per
+    component: four for a potential, one for a scalar model.
     """
-    f = harmonic_factor(model, order, dt)
+    f = harmonic_factor(model, 1)
     return tuple(f * v for v in model.components(x, y, z, t))

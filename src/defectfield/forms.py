@@ -69,23 +69,11 @@ class CubicalComplex:
     def n_cells(self, degree: int) -> int:
         return {0: self.n_vertices, 1: self.n_edges, 2: self.n_faces}[degree]
 
-    def vertex_index(self, i: int, j: int) -> int:
-        return j * self.nx + i
-
-    def xedge_index(self, i: int, j: int) -> int:
-        return j * (self.nx - 1) + i
-
-    def yedge_index(self, i: int, j: int) -> int:
-        return self.n_xedges + j * self.nx + i
-
-    def face_index(self, i: int, j: int) -> int:
-        return j * (self.nx - 1) + i
-
     def vertex_coords(self):
         xs = self.origin[0] + self.spacing[0] * np.arange(self.nx)
         ys = self.origin[1] + self.spacing[1] * np.arange(self.ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        # flatten consistently with vertex_index (x fastest)
+        # x fastest, the vertex numbering of lower_cells
         return X.T.ravel(), Y.T.ravel()
 
     @property
@@ -145,23 +133,6 @@ class Chain:
             if coef != 0:
                 clean[cell] = coef
         object.__setattr__(self, "coeffs", clean)
-
-    def __add__(self, other: "Chain") -> "Chain":
-        if other.degree != self.degree or other.cx is not self.cx:
-            raise DegreeError("chains must share degree and complex")
-        out = dict(self.coeffs)
-        for cell, coef in other.coeffs.items():
-            out[cell] = out.get(cell, 0) + coef
-        return Chain(self.cx, self.degree, out)
-
-    def __neg__(self) -> "Chain":
-        return Chain(self.cx, self.degree, {c: -v for c, v in self.coeffs.items()})
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "Chain":
-        return Chain(self.cx, self.degree, {c: scalar * v for c, v in self.coeffs.items()})
 
 
 @dataclass(frozen=True)

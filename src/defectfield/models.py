@@ -285,6 +285,8 @@ class PureGaugeModel(PotentialModel):
         return self.psi.omega
 
     def __post_init__(self):
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError("c must be positive and finite")
         try:
             self.psi.gradient(0.0, 0.0, 0.0, 0.0)
             time_derivatives(self.psi, 0.0, 0.0, 0.0, 0.0)

@@ -5,11 +5,12 @@ a grid and reports interior statistics (nodes at least two cells from
 every boundary, so one-sided boundary stencils never pollute convergence
 orders). Every model varies in time as exp(-i*omega*t), so every time
 derivative is ``fields.harmonic_factor`` times the values at the sampled
-time: the closed form from the model's ``omega`` by default, the factor
-of a central difference when a time step is given. No check evaluates a
-model at any other time, and the E-field and gauge checks evaluate none
-beyond the field they are given. Refinement studies report the observed
-order log2(residual(h) / residual(h/2)).
+time: the closed form from the model's ``omega``, except in the gauge
+check, which takes the factor of a central difference with the step
+matched to the grid's z spacing. No check evaluates a model at any other
+time, and the E-field and gauge checks evaluate none beyond the field
+they are given. Refinement studies report the observed order
+log2(residual(h) / residual(h/2)).
 
 The wave operator never holds a sampled grid: ``wave_residual_fields``
 walks x in slabs of SLAB_PLANES planes, evaluates the model on each slab's
@@ -50,9 +51,6 @@ from .fields import (
     sample_potential,
 )
 from .models import DisclinationModel
-
-MATCHED = "matched"
-ANALYTIC = "analytic"
 
 # x planes per slab of the wave residual
 SLAB_PLANES = 4
@@ -99,15 +97,15 @@ def _report(name: str, grid: GridSpec, arrays) -> ResidualReport:
     return ResidualReport(name, mx, rms, float(max(grid.spacing)))
 
 
-def electric_field(field: PotentialField, model, dt=None):
+def electric_field(field: PotentialField, model):
     """E = -grad(Phi) - (1/c) dA/dt as three scalar fields.
 
     Both terms act on the sampled field; the model supplies only ``omega``
-    and ``c``, and dA/dt is ``harmonic_factor(model, 1, dt)`` times A
-    (analytic by default, the central-difference factor when dt is given).
+    and ``c``, and dA/dt is the closed form ``harmonic_factor(model, 1)``
+    times A.
     """
     g = field.grid
-    coef = harmonic_factor(model, 1, dt) / model.c
+    coef = harmonic_factor(model, 1) / model.c
     return tuple(
         ComplexScalarField(g, field.time, -_diff_array(field.phi, g, a) - coef * comp)
         for a, comp in enumerate((field.ax, field.ay, field.az)))
@@ -132,22 +130,15 @@ def _matched_dt(field: PotentialField, model) -> float:
     return dz / model.c
 
 
-def lorentz_residual(field: PotentialField, model, time_step=MATCHED) -> ResidualReport:
+def lorentz_residual(field: PotentialField, model) -> ResidualReport:
     """Interior statistics of div(A) + (1/c) dPhi/dt.
 
-    ``time_step`` chooses the Phi time derivative, ``harmonic_factor(model,
-    1, dt)`` times the sampled Phi: "matched" (default) takes the factor of
-    a central difference with the grid-matched step, "analytic" the closed
-    form, and a float the factor of a central difference with that step.
+    dPhi/dt is the sampled Phi times ``harmonic_factor(model, 1, dt)``, the
+    factor of a central difference with the grid-matched step
+    (``_matched_dt``), under which the axial pair cancels exactly.
     The model is not evaluated; it supplies only ``omega`` and ``c``.
     """
-    if time_step == MATCHED:
-        dt = _matched_dt(field, model)
-    elif time_step == ANALYTIC:
-        dt = None
-    else:
-        dt = float(time_step)
-    coef = harmonic_factor(model, 1, dt)
+    coef = harmonic_factor(model, 1, _matched_dt(field, model))
     residual = divergence(field).values
     residual += coef * field.phi / model.c
     return _report("lorentz", field.grid, [residual])
@@ -179,7 +170,7 @@ def _component(values, shape) -> np.ndarray:
     return arr.reshape((1,) * (3 - arr.ndim) + arr.shape)
 
 
-def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
+def wave_residual_fields(model, grid: GridSpec, t: float, c=None, *,
                          reduce=None) -> dict | None:
     """Per-component arrays of laplacian(f) - (1/c^2) d2f/dt2 on the grid.
 
@@ -187,12 +178,11 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
     model on its rows of the open grid plus a halo plane each side, checks
     the planes no earlier slab checked for finiteness, and computes the
     residual on its own planes only, one x plane at a time: the second
-    difference of ``fields.laplacian`` per axis (x, y, z) minus the time
-    term ``harmonic_factor(model, 2, dt)/c^2 * f`` (the closed form, or the
-    factor of a 3-point central difference when dt is given). So each slab
-    is evaluated once, at t, on either path. Each component stays in the
-    model's broadcast shape, so an axis it does not vary along costs
-    nothing. The values equal the whole-grid ``laplacian`` bit for bit.
+    difference of ``fields.laplacian`` per axis (x, y, z) minus the closed
+    form time term ``harmonic_factor(model, 2)/c^2 * f``. So each slab is
+    evaluated once, at t. Each component stays in the model's broadcast
+    shape, so an axis it does not vary along costs nothing. The values
+    equal the whole-grid ``laplacian`` bit for bit.
 
     The residual and the stencil's scratch are plane-sized and reused, so
     every pass over them stays in cache, and the previous slab's arrays are
@@ -215,7 +205,7 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
         c = getattr(model, "c", None)
         if c is None:
             raise UnsupportedModelError("model has no wave speed; pass c explicitly")
-    coef = harmonic_factor(model, 2, dt) / c ** 2
+    coef = harmonic_factor(model, 2) / c ** 2
     X, Y, Z = grid.open_grid()
     # the nodes the walk computes: the interior when it folds, else the grid
     rows = interior_slices(grid.dims) if reduce else (slice(None),) * 3
@@ -274,7 +264,7 @@ def wave_residual_fields(model, grid: GridSpec, t: float, dt=None, c=None, *,
     return out
 
 
-def wave_residual(model, grid: GridSpec, t: float, dt=None, c=None) -> ResidualReport:
+def wave_residual(model, grid: GridSpec, t: float, c=None) -> ResidualReport:
     """Interior statistics of the wave operator applied to every component.
 
     The residual is computed at the interior nodes alone, and each slab's
@@ -288,7 +278,7 @@ def wave_residual(model, grid: GridSpec, t: float, dt=None, c=None) -> ResidualR
         mx = float(mags.max())
         sums.append((mx, weight * float(np.square(mags, out=mags).sum()), weight * mags.size))
 
-    wave_residual_fields(model, grid, t, dt, c, reduce=fold)
+    wave_residual_fields(model, grid, t, c, reduce=fold)
     mx, rms = _max_rms(sums)
     return ResidualReport("wave", mx, rms, float(max(grid.spacing)))
 

@@ -355,6 +355,34 @@ def test_generate_rejects_bad_descriptor(tmp_path):
     assert not (tmp_path / "field.json").exists()
 
 
+@pytest.mark.filterwarnings("error")  # c = 0 once leaked a numpy RuntimeWarning
+@pytest.mark.parametrize("c", [
+    pytest.param("0", id="zero"),
+    pytest.param("-1", id="negative"),
+    pytest.param("1e309", id="parses-as-inf"),
+])
+def test_generate_pure_gauge_rejects_bad_c(tmp_path, capsys, c):
+    descriptor = '{"model": "pure_gauge", "c": %s, "psi": {"model": "dislocation", "n": 1}}' % c
+    out = tmp_path / "field.json"
+    assert main(["generate", "--model", descriptor, "--dims", "5,5,2",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: invalid 'pure_gauge' descriptor: c must be positive and finite\n")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_usage(monkeypatch, capsys):
+    # no real allocation: the form constructor stands in for one numpy refuses
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(cli.forms, "DiscreteForm", refuse)
+    assert main(["forms", "--demo", "stokes"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 149. GiB for an array\n"
+
+
 def test_generate_origin_without_spacing_exits_usage(tmp_path, capsys):
     code = main(["generate", "--model", DISLOCATION, "--dims", "8,8,1",
                  "--origin", "1,2,3", "--out", str(tmp_path / "field.json")])

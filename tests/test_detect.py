@@ -453,8 +453,8 @@ def test_pattern_rotation_rate_examples():
     four = DisclinationModel(WaveParams(k=1.0, omega=4.0))
     assert pattern_rotation_rate(four, 0.0, 0.5) == pytest.approx(2.0, abs=1e-9)
 
-    with pytest.raises(ValueError):
-        pattern_rotation_rate(model, 0.0, 1.0, n_theta=8)
+    with pytest.raises(ValueError, match="t1 must not precede t0"):
+        pattern_rotation_rate(model, 1.0, 0.0)
 
 
 def test_axial_twist_examples():

@@ -115,8 +115,11 @@ def test_data_path_may_leave_the_manifest_directory(tmp_path):
     (tmp_path / "meta").mkdir()
     (tmp_path / "blobs").mkdir()
     field = _sampled("scalar", (8, 8, 4))
-    manifest, _ = save_field(field, tmp_path / "meta" / "f.json", tmp_path / "blobs" / "f.bin")
-    assert json.loads(manifest.read_text())["data"] == "../blobs/f.bin"
+    manifest, data = save_field(field, tmp_path / "meta" / "f.json")
+    content = json.loads(manifest.read_text())
+    assert content["data"] == "f.bin" and data == tmp_path / "meta" / "f.bin"
+    data.rename(tmp_path / "blobs" / "f.bin")
+    manifest.write_text(json.dumps({**content, "data": "../blobs/f.bin"}))
     assert np.array_equal(load_field(manifest).values, field.values)
 
 

@@ -26,7 +26,7 @@ from defectfield import (
     strip_scalar_potential,
     time_derivatives,
 )
-from defectfield.fields import _diff_array
+from defectfield.fields import _diff_array, harmonic_factor
 from defectfield.models import PotentialModel
 
 
@@ -288,19 +288,21 @@ def test_divergence_of_curl_small_for_smooth_models():
 
 
 def test_time_derivative_static_and_plane_wave():
-    assert time_derivatives(ConstantScalar(5.0), 0.3, -0.2, 0.1, 0.0, dt=1e-3) == (0.0,)
+    assert time_derivatives(ConstantScalar(5.0), 0.3, -0.2, 0.1, 0.0) == (0.0,)
 
     wave = PlaneWaveModel(kvec=(0.0, 0.0, 0.0), omega=2.0)
     assert time_derivatives(wave, 0.0, 0.0, 0.0, 0.0)[0] == pytest.approx(-2.0j, abs=1e-15)
-    # central-difference error is omega^3 dt^2 / 6 = 1.34e-6 at dt=1e-3
-    [numeric] = time_derivatives(wave, 0.0, 0.0, 0.0, 0.0, dt=1e-3)
+    # central-difference error is omega^3 dt^2 / 6 = 1.34e-6 at dt=1e-3; the
+    # wave is 1 at the origin at t = 0, so the derivative there is the factor
+    numeric = harmonic_factor(wave, 1, 1e-3)
     assert abs(numeric - (-2.0j)) < 1.5e-6
     assert abs(numeric - (-2.0j)) > 1e-7  # the bound is tight, not vacuous
 
 
 def test_time_derivative_potential_model():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
-    numeric = time_derivatives(model, 1.0, 0.5, 0.2, 0.3, dt=1e-4)
+    factor = harmonic_factor(model, 1, 1e-4)
+    numeric = [factor * v for v in model.components(1.0, 0.5, 0.2, 0.3)]
     exact = time_derivatives(model, 1.0, 0.5, 0.2, 0.3)
     for n, e in zip(numeric, exact):
         assert abs(n - complex(e)) < 1e-7
@@ -310,23 +312,25 @@ def test_time_derivatives_closed_form_matches_differences():
     x, y, z, t = 1.0, 0.5, 0.2, 0.3
     for model in (DisclinationModel(WaveParams.with_dispersion(k=1.3, c=0.8)),
                   PlaneWaveModel(kvec=(0.4, 0.0, 1.0), omega=1.7)):
-        for order, tol in ((1, 1e-7), (2, 1e-6)):
-            exact = time_derivatives(model, x, y, z, t, order=order)
-            numeric = time_derivatives(model, x, y, z, t, order=order, dt=1e-4)
-            assert len(exact) == len(model.components(x, y, z, t))
-            for e, n in zip(exact, numeric):
-                assert abs(e - n) < tol
+        h = 1e-4
+        minus, mid, plus = (model.components(x, y, z, s) for s in (t - h, t, t + h))
+        exact = time_derivatives(model, x, y, z, t)
+        assert len(exact) == len(mid)
+        second = [harmonic_factor(model, 2) * v for v in mid]
+        for e, s, m, c, p in zip(exact, second, minus, mid, plus):
+            assert abs(e - (p - m) / (2.0 * h)) < 1e-7
+            assert abs(s - (p - 2.0 * c + m) / h ** 2) < 1e-6
     # static models declare omega = 0: every derivative vanishes
-    static = time_derivatives(ConstantScalar(5.0), x, y, z, t, order=2)
-    assert static == (0.0,)
+    assert time_derivatives(ConstantScalar(5.0), x, y, z, t) == (0.0,)
+    assert harmonic_factor(ConstantScalar(5.0), 2) == 0.0
     with pytest.raises(ValueError):
-        time_derivatives(ConstantScalar(5.0), x, y, z, t, order=3)
+        harmonic_factor(ConstantScalar(5.0), 3)
 
 
 def test_time_derivative_rejects_bad_dt():
     for dt in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            time_derivatives(ConstantScalar(1.0), 0, 0, 0, 0, dt=dt)
+            harmonic_factor(ConstantScalar(1.0), 1, dt)
 
 
 def test_field_roundtrip_bit_exact(tmp_path):

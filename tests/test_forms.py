@@ -46,13 +46,15 @@ def test_cell_counts():
 
 def test_boundary_of_single_face_is_ccw_loop():
     cx = CubicalComplex(4, 4)
-    face = Chain(cx, 2, {cx.face_index(1, 2): 1})
+    # cells are numbered x fastest: face and x-edge (i, j) are 3*j + i, and
+    # y-edge (i, j) follows the 12 x-edges as 12 + 4*j + i
+    face = Chain(cx, 2, {7: 1})  # face (1, 2)
     edges = boundary(face)
     assert edges.coeffs == {
-        cx.xedge_index(1, 2): 1,
-        cx.yedge_index(2, 2): 1,
-        cx.xedge_index(1, 3): -1,
-        cx.yedge_index(1, 2): -1,
+        7: 1,    # x-edge (1, 2), along +x
+        22: 1,   # y-edge (2, 2), along +y
+        10: -1,  # x-edge (1, 3), against +x
+        21: -1,  # y-edge (1, 2), against +y
     }
 
 
@@ -68,7 +70,7 @@ def test_boundary_of_boundary_is_zero():
 
 def test_boundary_of_face_block_is_outer_loop():
     cx = CubicalComplex(5, 5)
-    block = Chain(cx, 2, {cx.face_index(i, j): 1 for i in (1, 2) for j in (1, 2)})
+    block = Chain(cx, 2, {4 * j + i: 1 for i in (1, 2) for j in (1, 2)})  # faces (i, j)
     edges = boundary(block)
     assert len(edges.coeffs) == 8  # interior edges cancel
     assert all(abs(v) == 1 for v in edges.coeffs.values())
@@ -134,11 +136,13 @@ def test_evaluate_linearity_and_basics():
     form = DiscreteForm(cx, 1, rng.standard_normal(cx.n_edges))
     c1 = random_chain(cx, 1, rng)
     c2 = random_chain(cx, 1, rng)
-    lhs = evaluate(form, 3 * c1 + (-2) * c2)
+    combined = {cell: 3 * c1.coeffs.get(cell, 0) - 2 * c2.coeffs.get(cell, 0)
+                for cell in {**c1.coeffs, **c2.coeffs}}
+    lhs = evaluate(form, Chain(cx, 1, combined))
     rhs = 3 * evaluate(form, c1) - 2 * evaluate(form, c2)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
     assert evaluate(form, Chain(cx, 1, {})) == 0.0
-    edge = cx.xedge_index(2, 3)
+    edge = 17  # x-edge (2, 3): 5*3 + 2
     assert evaluate(form, Chain(cx, 1, {edge: 1})) == form.values[edge]
     with pytest.raises(DegreeError):
         evaluate(form, Chain(cx, 2, {0: 1}))

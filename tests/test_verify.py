@@ -31,7 +31,6 @@ from defectfield import (
     sample_potential,
     sample_scalar,
     strip_scalar_potential,
-    time_derivatives,
     transverse_divergence,
     wave_residual,
     wave_residual_fields,
@@ -138,25 +137,20 @@ def test_models_without_omega_are_unsupported_with_or_without_a_time_step():
     with pytest.raises(UnsupportedModelError):
         electric_field(field, potential)
     with pytest.raises(UnsupportedModelError):
-        lorentz_residual(field, potential, time_step="analytic")
+        lorentz_residual(field, potential)
     # a time step selects the central-difference factor, which needs omega too
     for model in (scalar, potential):
-        with pytest.raises(UnsupportedModelError):
-            wave_residual(model, grid, 0.0, dt=0.01, c=1.0)
+        for order in (1, 2):
+            with pytest.raises(UnsupportedModelError):
+                harmonic_factor(model, order, 0.01)
 
 
 def test_time_step_must_be_positive_and_finite():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
-    grid = GridSpec.centered((2.0, 2.0, 2.0), (9, 9, 9))
-    field = sample_potential(model, grid, 0.0)
-    message = "dt must be positive and finite"
     for dt in (0.0, -0.01, math.nan, math.inf):
-        with pytest.raises(ValueError, match=message):
-            wave_residual(model, grid, 0.0, dt=dt)
-        with pytest.raises(ValueError, match=message):
-            lorentz_residual(field, model, time_step=dt)
-        with pytest.raises(ValueError, match=message):
-            electric_field(field, model, dt=dt)
+        for order in (1, 2):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                harmonic_factor(model, order, dt)
 
 
 @pytest.mark.parametrize("psi", PSI_MODELS, ids=("vortex", "oblique", "sines"))
@@ -228,17 +222,6 @@ def test_lorentz_residual_broken_phi():
     assert rep.interior_max == pytest.approx(expected, rel=0.05)
 
 
-def test_lorentz_residual_analytic_path_shows_stencil_error():
-    # with the analytic time derivative the axial cancellation is only
-    # second order in the grid spacing, not exact
-    model = disclination()
-    grid = box_grid(n=33)
-    f = sample_potential(model, grid, 0.0)
-    rep = lorentz_residual(f, model, time_step="analytic")
-    kh = model.params.k * grid.spacing[2]
-    assert rep.interior_max == pytest.approx(kh ** 2 / 6.0, rel=0.1)
-
-
 def test_transverse_divergence_cases():
     model = disclination()
     grid = box_grid(n=33)
@@ -288,28 +271,18 @@ def test_wave_residual_static_constant():
     assert rep.interior_max == 0.0
 
 
-def test_wave_residual_numeric_time_matches_analytic():
-    model = disclination()
-    grid = box_grid(n=17)
-    analytic = wave_residual(model, grid, 0.0)
-    numeric = wave_residual(model, grid, 0.0, dt=1e-4)
-    assert numeric.interior_max == pytest.approx(analytic.interior_max, rel=1e-4)
-
-
-@pytest.mark.parametrize("model, dt, c", [
-    (disclination(k=1.3, az=0.5 - 0.5j), None, None),
-    (PSI_MODELS[2], None, 1.0),
-    (disclination(), 1e-3, None),
-    (PSI_MODELS[0], 1e-3, 1.0),
-], ids=("potential", "scalar", "potential-dt", "scalar-dt"))
-def test_wave_residual_report_matches_fields(model, dt, c):
+@pytest.mark.parametrize("model, c", [
+    (disclination(k=1.3, az=0.5 - 0.5j), None),
+    (PSI_MODELS[2], 1.0),
+], ids=("potential", "scalar"))
+def test_wave_residual_report_matches_fields(model, c):
     grid = GridSpec.centered((5.0, 4.0, 3.0), (19, 15, 11))
-    fields = wave_residual_fields(model, grid, 0.2, dt=dt, c=c)
+    fields = wave_residual_fields(model, grid, 0.2, c=c)
     count = len(model.components(0.0, 0.0, 0.0, 0.2))
     assert list(fields) == (["Ax", "Ay", "Az", "Phi"] if count == 4 else ["psi"])
     region = interior_slices(grid.dims)
     mags = np.concatenate([np.abs(a[region]).ravel() for a in fields.values()])
-    report = wave_residual(model, grid, 0.2, dt=dt, c=c)
+    report = wave_residual(model, grid, 0.2, c=c)
     assert report.interior_max == mags.max() > 0
     assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags**2)), rel=1e-12)
 
@@ -334,7 +307,7 @@ MODEL_KINDS = {
 }
 
 
-def dense_wave_residual(model, grid, t, dt, c):
+def dense_wave_residual(model, grid, t, c):
     """Reference: whole-grid laplacian of each sampled component minus its time term."""
     if len(model.components(0.0, 0.0, 0.0, t)) == 4:
         f = sample_potential(model, grid, t)
@@ -345,7 +318,7 @@ def dense_wave_residual(model, grid, t, dt, c):
     out = {}
     for name, values in comps.items():
         r = laplacian(ComplexScalarField(grid, t, values)).values
-        r -= harmonic_factor(model, 2, dt) / c ** 2 * values
+        r -= harmonic_factor(model, 2) / c ** 2 * values
         out[name] = r
     return out
 
@@ -358,41 +331,35 @@ AXIS_NODES = st.integers(2, 20)
     dims=st.tuples(AXIS_NODES, AXIS_NODES, AXIS_NODES),
     spacing=st.tuples(*[st.floats(0.05, 2.0)] * 3),
     kind=st.sampled_from(sorted(MODEL_KINDS)),
-    dt=st.sampled_from([None, 1e-3]),
     t=st.floats(-3.0, 3.0),
 )
-@example(dims=(2, 3, 4), spacing=(0.5, 0.5, 0.5), kind="disclination", dt=None, t=0.0)
-@example(dims=(3, 4, 2), spacing=(0.5, 0.7, 0.3), kind="rigid_rotation", dt=1e-3, t=0.0)
-@example(dims=(4, 2, 3), spacing=(0.5, 0.7, 0.3), kind="plane_wave", dt=None, t=0.1)
-@example(dims=(SLAB_PLANES + 1, 5, 6), spacing=(0.3, 0.4, 0.5), kind="disclination",
-         dt=None, t=0.2)
-@example(dims=(SLAB_PLANES + 1, 7, 3), spacing=(0.3, 0.4, 0.5), kind="product_sine",
-         dt=1e-3, t=0.2)
-@example(dims=(2 * SLAB_PLANES + 3, 6, 5), spacing=(0.2, 0.4, 0.5), kind="pure_gauge",
-         dt=None, t=0.2)
+@example(dims=(2, 3, 4), spacing=(0.5, 0.5, 0.5), kind="disclination", t=0.0)
+@example(dims=(3, 4, 2), spacing=(0.5, 0.7, 0.3), kind="rigid_rotation", t=0.0)
+@example(dims=(4, 2, 3), spacing=(0.5, 0.7, 0.3), kind="plane_wave", t=0.1)
+@example(dims=(SLAB_PLANES + 1, 5, 6), spacing=(0.3, 0.4, 0.5), kind="disclination", t=0.2)
+@example(dims=(SLAB_PLANES + 1, 7, 3), spacing=(0.3, 0.4, 0.5), kind="product_sine", t=0.2)
+@example(dims=(2 * SLAB_PLANES + 3, 6, 5), spacing=(0.2, 0.4, 0.5), kind="pure_gauge", t=0.2)
 # slab edges on interior edges: the last slab holds no, or one, interior plane
-@example(dims=(2 * SLAB_PLANES + 1, 6, 5), spacing=(0.2, 0.4, 0.5), kind="plane_wave",
-         dt=1e-3, t=0.2)
+@example(dims=(2 * SLAB_PLANES + 1, 6, 5), spacing=(0.2, 0.4, 0.5), kind="plane_wave", t=0.2)
 @example(dims=(2 * SLAB_PLANES + 2, 5, 7), spacing=(0.2, 0.4, 0.5), kind="constant_potential",
-         dt=None, t=0.2)
-@example(dims=(2 * SLAB_PLANES + 3, 7, 6), spacing=(0.2, 0.4, 0.5), kind="disclination",
-         dt=1e-3, t=0.2)
+         t=0.2)
+@example(dims=(2 * SLAB_PLANES + 3, 7, 6), spacing=(0.2, 0.4, 0.5), kind="disclination", t=0.2)
 # one and two interior planes
-@example(dims=(5, 6, 5), spacing=(0.3, 0.4, 0.5), kind="constant_potential", dt=1e-3, t=0.2)
-@example(dims=(6, 5, 9), spacing=(0.3, 0.4, 0.5), kind="plane_wave", dt=None, t=0.2)
-def test_wave_kernel_matches_dense_reference(dims, spacing, kind, dt, t):
+@example(dims=(5, 6, 5), spacing=(0.3, 0.4, 0.5), kind="constant_potential", t=0.2)
+@example(dims=(6, 5, 9), spacing=(0.3, 0.4, 0.5), kind="plane_wave", t=0.2)
+def test_wave_kernel_matches_dense_reference(dims, spacing, kind, t):
     model = MODEL_KINDS[kind]()
     c = None if hasattr(model, "c") else 1.3
     grid = GridSpec(dims, spacing, origin=(-0.4 * dims[0] * spacing[0], -0.3, 0.2))
-    reference = dense_wave_residual(model, grid, t, dt, c)
-    streamed = wave_residual_fields(model, grid, t, dt=dt, c=c)
+    reference = dense_wave_residual(model, grid, t, c)
+    streamed = wave_residual_fields(model, grid, t, c=c)
     assert list(streamed) == list(reference)
     for name, expected in reference.items():
         assert streamed[name].shape == grid.dims
         assert np.array_equal(streamed[name], expected), name
     region = interior_slices(grid.dims)
     mags = np.concatenate([np.abs(a[region]).ravel() for a in reference.values()])
-    report = wave_residual(model, grid, t, dt=dt, c=c)
+    report = wave_residual(model, grid, t, c=c)
     assert report.interior_max == mags.max()
     assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags ** 2)), rel=1e-12,
                                                 abs=1e-300)
@@ -504,11 +471,10 @@ def test_lorentz_residual_evaluates_phi_alone():
     f = sample_potential(model, grid, 0.0)
     div = divergence(f).values
     matched = model.params.k * grid.spacing[2] / model.params.omega
-    for time_step, dt in (("matched", matched), ("analytic", None), (0.01, 0.01)):
-        dphi = time_derivatives(model, *grid.open_grid(), 0.0, dt=dt)[3]
-        expected = interior_stats(grid, [div + np.asarray(dphi) / model.c])
-        report = lorentz_residual(f, model, time_step=time_step)
-        assert (report.interior_max, report.interior_rms) == expected
+    dphi = harmonic_factor(model, 1, matched) * model.components(*grid.open_grid(), 0.0)[3]
+    expected = interior_stats(grid, [div + np.asarray(dphi) / model.c])
+    report = lorentz_residual(f, model)
+    assert (report.interior_max, report.interior_rms) == expected
     component_bytes = grid.node_count * np.dtype(np.complex128).itemsize
     assert _traced_peak(lambda: lorentz_residual(f, model)) < 4 * component_bytes
 
@@ -529,14 +495,14 @@ class _Counting:
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_time_step_matches_literal_central_difference(kind):
-    model = _Counting(MODEL_KINDS[kind]())
+    model = MODEL_KINDS[kind]()
     grid = GridSpec.centered((3.0, 2.5, 2.0), (7, 6, 5))
     X, Y, Z = grid.open_grid()
     eps = np.finfo(float).eps
 
     def evaluate(t):
         return [np.broadcast_to(np.asarray(v, dtype=complex), grid.dims)
-                for v in model.model.components(X, Y, Z, t)]
+                for v in model.components(X, Y, Z, t)]
 
     for t, dt in ((0.0, 1e-3), (0.7, 1e-2), (-2.3, 0.1), (1.9, 0.5)):
         minus, mid, plus = evaluate(t - dt), evaluate(t), evaluate(t + dt)
@@ -546,9 +512,7 @@ def test_time_step_matches_literal_central_difference(kind):
         for order in (1, 2):
             # rounding of the literal difference: a few eps*|f| over dt**order
             tol = 8.0 * eps * scale / dt ** order
-            model.calls = 0
-            stepped = time_derivatives(model, X, Y, Z, t, order=order, dt=dt)
-            assert model.calls == 1
+            stepped = [harmonic_factor(model, order, dt) * v for v in mid]
             assert len(stepped) == len(literal[order])
             for got, want in zip(stepped, literal[order]):
                 assert np.max(np.abs(got - want)) <= tol, (order, t, dt)
@@ -559,10 +523,8 @@ def test_lorentz_and_electric_field_never_evaluate_the_model():
     grid = box_grid(k=1.1, n=17)
     f = sample_potential(model, grid, 0.3)
     assert model.calls == 1
-    for time_step in ("matched", "analytic", 0.01):
-        lorentz_residual(f, model, time_step=time_step)
+    lorentz_residual(f, model)
     electric_field(f, model)
-    electric_field(f, model, dt=0.01)
     assert model.calls == 1
 
 
