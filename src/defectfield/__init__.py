@@ -32,7 +32,6 @@ from .fields import (
     laplacian,
     sample_potential,
     sample_scalar,
-    time_derivatives,
 )
 from .forms import (
     Chain,

@@ -340,8 +340,8 @@ def _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref):
     return float(alphas[best]), math.sqrt(float(g[best]))
 
 
-def _rotation_rate(model, s0, s1, rate, at, full_output, var):
-    """Mean rotation rate of the azimuth pattern between stations s0 and s1.
+def _rotation_rate(model, s0, s1, rate, at, var):
+    """(Mean rotation rate, worst substep residual) of the azimuth pattern from s0 to s1.
 
     ``at(s)`` gives the (z, t) of station s and ``rate`` the pattern's
     angular rate per unit s (omega or k). The interval is split into
@@ -353,7 +353,7 @@ def _rotation_rate(model, s0, s1, rate, at, full_output, var):
     if s1 < s0:
         raise ValueError(f"{var}1 must not precede {var}0")
     if s1 == s0:
-        return (0.0, 0.0) if full_output else 0.0
+        return 0.0, 0.0
     m = max(1, math.ceil(abs(rate) * (s1 - s0) / 2.0 / STEP_TARGET))
     stations = np.linspace(s0, s1, m + 1)
     thetas = TWO_PI * np.arange(N_THETA) / N_THETA
@@ -368,22 +368,17 @@ def _rotation_rate(model, s0, s1, rate, at, full_output, var):
             )
         total += alpha
         worst = max(worst, res)
-    result = total / (s1 - s0)
-    return (result, worst) if full_output else result
+    return total / (s1 - s0), worst
 
 
-def pattern_rotation_rate(model, t0: float, t1: float, full_output: bool = False):
-    """Angular velocity of the rigid rotation of the z = 0 azimuth pattern.
-
-    With ``full_output`` it returns (rate, worst per-substep alignment residual).
-    """
-    return _rotation_rate(model, t0, t1, model.params.omega, lambda t: (0.0, t),
-                          full_output, "t")
+def pattern_rotation_rate(model, t0: float, t1: float) -> float:
+    """Angular velocity of the rigid rotation of the z = 0 azimuth pattern."""
+    return _rotation_rate(model, t0, t1, model.params.omega, lambda t: (0.0, t), "t")[0]
 
 
 def axial_twist_per_length(model, z0: float, z1: float, t: float) -> float:
     """Signed rotation rate of the azimuth pattern per unit z at fixed time."""
-    return _rotation_rate(model, z0, z1, model.params.k, lambda z: (z, t), False, "z")
+    return _rotation_rate(model, z0, z1, model.params.k, lambda z: (z, t), "z")[0]
 
 
 def tifold_index(model, full_output: bool = False):
@@ -392,7 +387,7 @@ def tifold_index(model, full_output: bool = False):
     if omega == 0:
         raise UndefinedIndexError("index undefined for omega = 0")
     period = TWO_PI / omega
-    rate, res = pattern_rotation_rate(model, 0.0, period, full_output=True)
+    rate, res = _rotation_rate(model, 0.0, period, omega, lambda t: (0.0, t), "t")
     raw = rate / omega
     snapped = Fraction(raw).limit_denominator(4)
     if abs(raw - float(snapped)) <= 1e-9:

@@ -33,9 +33,14 @@ FORMAT_VERSION = 1
 
 
 def save_field(field, manifest_path):
-    """Write the manifest JSON and its ``.bin`` next to it; returns both paths."""
+    """Write the manifest JSON and its ``.bin`` next to it; returns both paths.
+
+    A manifest path ending in ``.bin`` names the binary itself: ValueError.
+    """
     manifest_path = Path(manifest_path)
     data_path = manifest_path.with_suffix(".bin")
+    if data_path == manifest_path:
+        raise ValueError(f"manifest path {str(manifest_path)!r} ends in .bin; name it .json")
     if isinstance(field, PotentialField):
         kind = "potential"
         arrays = (field.ax, field.ay, field.az, field.phi)

@@ -110,16 +110,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpaceTimePoint:
-    """A point (x, y, z) at time t, with derived cylindrical coordinates."""
+    """A point (x, y, z) at time t, with its cylindrical angle ``theta``."""
 
     x: float
     y: float
     z: float = 0.0
     t: float = 0.0
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.x, self.y)
 
     @property
     def theta(self) -> float:
@@ -368,14 +364,3 @@ def harmonic_factor(model, order: int, dt=None):
         return -1j * math.sin(omega * dt) / dt
     return -(2.0 * math.sin(omega * dt / 2) / dt) ** 2
 
-
-def time_derivatives(model, x, y, z, t) -> tuple:
-    """First time derivative of every component of a model.
-
-    Every model varies in time as exp(-i*omega*t) and declares ``omega``
-    (0 for static models), so the result is one evaluation at t times the
-    closed form ``harmonic_factor(model, 1)``. Returns one value per
-    component: four for a potential, one for a scalar model.
-    """
-    f = harmonic_factor(model, 1)
-    return tuple(f * v for v in model.components(x, y, z, t))

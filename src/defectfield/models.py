@@ -8,10 +8,10 @@ propagation axis. Every model evaluates at arbitrary space-time points
 and broadcasts over numpy arrays.
 
 Every shipped model varies in time as S(x, y, z) * exp(-i*omega*t) and
-declares ``omega`` (0 for the static ones); ``fields.harmonic_factor``
-turns that into every time derivative, closed form or central difference.
-The base classes declare no ``omega``, so a model that does not declare
-one has no time derivative.
+declares ``omega`` (0 for the static ones) and a wave speed ``c`` (1 for
+scalar models); ``fields.harmonic_factor`` turns omega into every time
+derivative. The base classes declare ``c`` but no ``omega``, so a model
+that does not declare one has no time derivative.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpaceTimePoint, UnsupportedModelError, time_derivatives
-
-ON_SHELL_RTOL = 1e-12
+from .fields import SpaceTimePoint, UnsupportedModelError, harmonic_factor
 
 
 class IndeterminateAzimuthError(ValueError):
@@ -38,7 +36,7 @@ class WaveParams:
     reproducing the literal disclination formula while allowing the
     amplitude to be scaled independently of the wavenumber. ``az`` scales
     the axial component. Construction does not force ``omega = k*c``;
-    operations that need the dispersion relation check ``on_shell``.
+    ``with_dispersion`` does.
     """
 
     k: float
@@ -56,14 +54,6 @@ class WaveParams:
             raise ValueError("c must be positive and finite")
         object.__setattr__(self, "a", float(self.k if self.a is None else self.a))
         object.__setattr__(self, "az", complex(self.az))
-
-    @property
-    def on_shell(self) -> bool:
-        return abs(self.omega - self.k * self.c) <= ON_SHELL_RTOL * self.omega
-
-    @property
-    def wavelength(self) -> float:
-        return 2.0 * math.pi / self.k
 
     @classmethod
     def with_dispersion(cls, k: float, c: float = 1.0, a: float | None = None,
@@ -92,8 +82,10 @@ class ScalarModel:
 
     A subclass supplies ``spatial``, its ``omega`` and, when it has one, an
     analytic ``spatial_gradient``. ``components`` is the 1-tuple (psi,), as
-    a potential's is (Ax, Ay, Az, Phi).
+    a potential's is (Ax, Ay, Az, Phi). Its wave speed ``c`` is 1.
     """
+
+    c: float = 1.0
 
     def spatial(self, x, y, z):
         raise NotImplementedError
@@ -103,11 +95,6 @@ class ScalarModel:
 
     def value(self, x, y, z, t):
         return self.spatial(x, y, z) * np.exp(-1j * self.omega * t)
-
-    def gradient(self, x, y, z, t):
-        gx, gy, gz = self.spatial_gradient(x, y, z)
-        ph = np.exp(-1j * self.omega * t)
-        return (gx * ph, gy * ph, gz * ph)
 
     def components(self, x, y, z, t):
         return (self.value(x, y, z, t),)
@@ -139,13 +126,6 @@ class PlaneWaveModel(ScalarModel):
     def __post_init__(self):
         object.__setattr__(self, "kvec", tuple(float(v) for v in self.kvec))
         object.__setattr__(self, "amplitude", complex(self.amplitude))
-
-    @property
-    def c(self) -> float:
-        knorm = math.sqrt(sum(v * v for v in self.kvec))
-        if knorm == 0:
-            raise ValueError("wave speed undefined for kvec = 0")
-        return self.omega / knorm
 
     def spatial(self, x, y, z):
         kx, ky, kz = self.kvec
@@ -288,17 +268,18 @@ class PureGaugeModel(PotentialModel):
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError("c must be positive and finite")
         try:
-            self.psi.gradient(0.0, 0.0, 0.0, 0.0)
-            time_derivatives(self.psi, 0.0, 0.0, 0.0, 0.0)
+            self.components(0.0, 0.0, 0.0, 0.0)
         except (UnsupportedModelError, NotImplementedError) as exc:
             raise UnsupportedModelError(
                 f"pure gauge requires an evaluable scalar model with an analytic "
                 f"gradient and omega: {exc}") from exc
 
     def components(self, x, y, z, t):
-        gx, gy, gz = self.psi.gradient(x, y, z, t)
-        phi = -time_derivatives(self.psi, x, y, z, t)[0] / self.c
-        return (gx, gy, gz, phi)
+        f = harmonic_factor(self.psi, 1)
+        gx, gy, gz = self.psi.spatial_gradient(x, y, z)
+        ph = np.exp(-1j * self.omega * t)
+        phi = -(f * self.psi.value(x, y, z, t)) / self.c
+        return (gx * ph, gy * ph, gz * ph, phi)
 
 
 @dataclass(frozen=True)

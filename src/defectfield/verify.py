@@ -41,7 +41,6 @@ from .fields import (
     ComplexScalarField,
     GridSpec,
     PotentialField,
-    UnsupportedModelError,
     _diff_array,
     _laplacian_at,
     _require_finite,
@@ -72,15 +71,26 @@ def interior_slices(dims) -> tuple:
     return tuple(slice(2, n - 2) if n >= 5 else slice(None) for n in dims)
 
 
-def _interior_sums(region: tuple, a) -> tuple[float, float, int]:
-    """(max, sum of squares, count) of |a| over the region."""
-    mags = np.abs(np.asarray(a)[region])
-    return float(mags.max()), float(np.square(mags, out=mags).sum()), mags.size
+def _sums(mags: np.ndarray, weight: int = 1) -> tuple[float, float, int]:
+    """(max, sum of (mags/max)^2, count) of magnitudes standing for ``weight`` nodes each.
+
+    Overwrites mags. Scaled to at most 1, no square overflows; a zero or non-finite max sums to 0.
+    """
+    mx = float(mags.max())
+    if not 0 < mx < math.inf:
+        return mx, 0.0, weight * mags.size
+    np.divide(mags, mx, out=mags)
+    return mx, weight * float(np.square(mags, out=mags).sum()), weight * mags.size
 
 
 def _max_rms(sums) -> tuple[float, float]:
-    peaks, squares, counts = zip(*sums)
-    return max(peaks), math.sqrt(sum(squares) / sum(counts))
+    """(M, M * sqrt(sum((max/M)^2 * scaled sum) / N)) from the parts' ``_sums``,
+    with M their largest max; a zero or non-finite M is both the max and the rms."""
+    peaks, scaled, counts = zip(*sums)
+    m = max(peaks)
+    if not 0 < m < math.inf:
+        return m, m
+    return m, m * math.sqrt(sum((p / m) ** 2 * q for p, q in zip(peaks, scaled)) / sum(counts))
 
 
 def interior_stats(grid: GridSpec, arrays) -> tuple[float, float]:
@@ -89,7 +99,7 @@ def interior_stats(grid: GridSpec, arrays) -> tuple[float, float]:
     Each array is reduced on its own, without a concatenated copy.
     """
     region = interior_slices(grid.dims)
-    return _max_rms([_interior_sums(region, a) for a in arrays])
+    return _max_rms([_sums(np.abs(np.asarray(a)[region])) for a in arrays])
 
 
 def _report(name: str, grid: GridSpec, arrays) -> ResidualReport:
@@ -170,7 +180,7 @@ def _component(values, shape) -> np.ndarray:
     return arr.reshape((1,) * (3 - arr.ndim) + arr.shape)
 
 
-def wave_residual_fields(model, grid: GridSpec, t: float, c=None, *,
+def wave_residual_fields(model, grid: GridSpec, t: float, *,
                          reduce=None) -> dict | None:
     """Per-component arrays of laplacian(f) - (1/c^2) d2f/dt2 on the grid.
 
@@ -179,10 +189,11 @@ def wave_residual_fields(model, grid: GridSpec, t: float, c=None, *,
     the planes no earlier slab checked for finiteness, and computes the
     residual on its own planes only, one x plane at a time: the second
     difference of ``fields.laplacian`` per axis (x, y, z) minus the closed
-    form time term ``harmonic_factor(model, 2)/c^2 * f``. So each slab is
-    evaluated once, at t. Each component stays in the model's broadcast
-    shape, so an axis it does not vary along costs nothing. The values
-    equal the whole-grid ``laplacian`` bit for bit.
+    form time term ``harmonic_factor(model, 2)/c^2 * f``, with the model's
+    own ``omega`` and ``c``. So each slab is evaluated once, at t. Each
+    component stays in the model's broadcast shape, so an axis it does not
+    vary along costs nothing. The values equal the whole-grid ``laplacian``
+    bit for bit.
 
     The residual and the stencil's scratch are plane-sized and reused, so
     every pass over them stays in cache, and the previous slab's arrays are
@@ -201,11 +212,7 @@ def wave_residual_fields(model, grid: GridSpec, t: float, c=None, *,
     nodes. They are a view of a buffer that the next call overwrites, so
     ``reduce`` may write into it and copies whatever it keeps.
     """
-    if c is None:
-        c = getattr(model, "c", None)
-        if c is None:
-            raise UnsupportedModelError("model has no wave speed; pass c explicitly")
-    coef = harmonic_factor(model, 2) / c ** 2
+    coef = harmonic_factor(model, 2) / model.c ** 2
     X, Y, Z = grid.open_grid()
     # the nodes the walk computes: the interior when it folds, else the grid
     rows = interior_slices(grid.dims) if reduce else (slice(None),) * 3
@@ -264,21 +271,16 @@ def wave_residual_fields(model, grid: GridSpec, t: float, c=None, *,
     return out
 
 
-def wave_residual(model, grid: GridSpec, t: float, c=None) -> ResidualReport:
+def wave_residual(model, grid: GridSpec, t: float) -> ResidualReport:
     """Interior statistics of the wave operator applied to every component.
 
     The residual is computed at the interior nodes alone, and each slab's
-    magnitudes are folded into (max, sum of squares, count) as they are
-    made; a value broadcast along an axis stands for that axis's interior
-    nodes, so it is weighted by their number.
+    magnitudes are folded by ``_sums`` as they are made; a value broadcast
+    along an axis stands for that axis's interior nodes, so it is weighted
+    by their number.
     """
     sums = []
-
-    def fold(mags, weight):
-        mx = float(mags.max())
-        sums.append((mx, weight * float(np.square(mags, out=mags).sum()), weight * mags.size))
-
-    wave_residual_fields(model, grid, t, c, reduce=fold)
+    wave_residual_fields(model, grid, t, reduce=lambda mags, w: sums.append(_sums(mags, w)))
     mx, rms = _max_rms(sums)
     return ResidualReport("wave", mx, rms, float(max(grid.spacing)))
 

@@ -371,6 +371,15 @@ def test_generate_pure_gauge_rejects_bad_c(tmp_path, capsys, c):
     assert not out.exists()
 
 
+def test_generate_out_ending_in_bin_exits_usage(tmp_path, capsys):
+    # the manifest would be written over its own binary
+    out = tmp_path / "f.bin"
+    assert main(["generate", "--model", DISLOCATION, "--dims", "5,5,2",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert f"manifest path {str(out)!r} ends in .bin" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_of_memory_exits_usage(monkeypatch, capsys):
     # no real allocation: the form constructor stands in for one numpy refuses
     def refuse(*args):

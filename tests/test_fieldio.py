@@ -123,6 +123,13 @@ def test_data_path_may_leave_the_manifest_directory(tmp_path):
     assert np.array_equal(load_field(manifest).values, field.values)
 
 
+def test_save_field_refuses_a_manifest_path_ending_in_bin(tmp_path):
+    # the binary is the manifest path with suffix .bin: here the manifest itself
+    with pytest.raises(ValueError, match=re.escape(repr(str(tmp_path / "f.bin")))):
+        save_field(_sampled("scalar", (4, 4, 2)), tmp_path / "f.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_field_checks_the_whole_file(tmp_path):
     manifest, data = save_field(_sampled("potential", (8, 8, 4)), tmp_path / "f.json")
     raw = bytearray(data.read_bytes())

