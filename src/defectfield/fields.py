@@ -207,7 +207,8 @@ def _on_grid(values, grid: GridSpec) -> np.ndarray:
 
 def sample_scalar(model, grid: GridSpec, t: float) -> ComplexScalarField:
     """Evaluate a one-component (scalar) model at every grid node at time t (x fastest)."""
-    comps = model.components(*(c.T for c in grid.open_grid()), t)
+    with np.errstate(over="ignore", invalid="ignore"):  # the field's check names the node
+        comps = model.components(*(c.T for c in grid.open_grid()), t)
     if len(comps) != 1:
         raise TypeError("sample_scalar requires a scalar-valued model")
     return ComplexScalarField(grid, t, _on_grid(comps[0], grid))
@@ -215,7 +216,8 @@ def sample_scalar(model, grid: GridSpec, t: float) -> ComplexScalarField:
 
 def sample_potential(model, grid: GridSpec, t: float) -> PotentialField:
     """Evaluate a four-component potential model at every grid node at time t (x fastest)."""
-    comps = model.components(*(c.T for c in grid.open_grid()), t)
+    with np.errstate(over="ignore", invalid="ignore"):  # the field's check names the node
+        comps = model.components(*(c.T for c in grid.open_grid()), t)
     if len(comps) != 4:
         raise TypeError("sample_potential requires a potential-valued model")
     return PotentialField(grid, t, *(_on_grid(c, grid) for c in comps))

@@ -164,18 +164,34 @@ def _row_sums(lower, signs, values) -> np.ndarray:
     return sum((signs * values[lower]).T, np.zeros(len(lower)))
 
 
-def _boundary_and_rows(chain: Chain):
-    """boundary(chain), with the chain's (lower, signs) rows it was summed from."""
-    if chain.degree == 0:
-        raise DegreeError("0-chains have no boundary")
-    lower, signs = chain.cx.lower_cells(chain.degree, list(chain.coeffs))
-    signed = signs * np.array(list(chain.coeffs.values()), dtype=np.int64)[:, None]
-    cells = np.unique(lower)
-    sums = np.zeros(cells.size, dtype=np.int64)
-    np.add.at(sums, np.searchsorted(cells, lower.ravel()), signed.ravel())
+def chain_rows(cx: CubicalComplex, degree: int, cells):
+    """The p-cells' ``lower_cells`` rows, renumbered over the lower cells they touch.
+
+    Returns (touched, rows, signs), ``touched`` ascending.
+    """
+    lower, signs = cx.lower_cells(degree, cells)
+    touched = np.unique(lower)
+    return touched, np.searchsorted(touched, lower), signs
+
+
+def _boundary_sums(rows, signs, coeffs, n: int) -> np.ndarray:
+    """Each of the n touched lower cells' sum of its rows' signs times their coefficients."""
+    sums = np.zeros(n, dtype=np.int64)
+    np.add.at(sums, rows.ravel(), (signs * np.asarray(coeffs, dtype=np.int64)[:, None]).ravel())
+    return sums
+
+
+def stokes_on_rows(rows, signs, coeffs, values) -> float:
+    """(d w)(c) - w(boundary c) from a chain's ``chain_rows`` and w on its touched cells.
+
+    ``coeffs`` follow the rows. d w is summed per row as ``coboundary`` sums it
+    and w(boundary c) in ascending cell order as ``evaluate`` takes it, so
+    the bits are those of the whole-complex difference.
+    """
+    sums = _boundary_sums(rows, signs, coeffs, len(values))
     keep = sums != 0
-    edges = Chain(chain.cx, chain.degree - 1, dict(zip(cells[keep].tolist(), sums[keep].tolist())))
-    return edges, lower, signs
+    around = float(values[keep] @ sums[keep].astype(float))
+    return float(_row_sums(rows, signs, values) @ np.asarray(coeffs, dtype=float)) - around
 
 
 def boundary(chain: Chain) -> Chain:
@@ -184,7 +200,10 @@ def boundary(chain: Chain) -> Chain:
     Sums the signed rows of the chain's own cells (``lower_cells``) per
     lower cell and keeps the nonzero sums, in ascending cell order.
     """
-    return _boundary_and_rows(chain)[0]
+    touched, rows, signs = chain_rows(chain.cx, chain.degree, list(chain.coeffs))
+    sums = _boundary_sums(rows, signs, list(chain.coeffs.values()), touched.size)
+    keep = sums != 0
+    return Chain(chain.cx, chain.degree - 1, dict(zip(touched[keep].tolist(), sums[keep].tolist())))
 
 
 def coboundary(form: DiscreteForm) -> DiscreteForm:
@@ -209,15 +228,16 @@ def evaluate(form: DiscreteForm, chain: Chain) -> float:
 def stokes_residual(form: DiscreteForm, chain: Chain) -> float:
     """evaluate(d form, chain) - evaluate(form, boundary(chain)); zero by adjointness.
 
-    The chain's rows are built once and give both its boundary and (d form)
-    on its cells, summed as ``coboundary`` sums them, so the first term equals
-    ``evaluate(coboundary(form), chain)`` bit for bit without computing d form
-    on the whole complex.
+    Reads the form on the chain's lower cells alone (``stokes_on_rows``), so
+    the first term equals ``evaluate(coboundary(form), chain)`` bit for bit
+    without computing d form on the whole complex.
     """
-    edges, lower, signs = _boundary_and_rows(chain)
-    around = evaluate(form, edges)  # rejects mismatched degrees and complexes
-    d = _row_sums(lower, signs, form.values)
-    return float(d @ np.array(list(chain.coeffs.values()), dtype=float)) - around
+    touched, rows, signs = chain_rows(chain.cx, chain.degree, list(chain.coeffs))
+    if form.degree != chain.degree - 1:
+        raise DegreeError(f"degree mismatch: form {form.degree}, chain boundary {chain.degree - 1}")
+    if form.cx is not chain.cx:
+        raise ValueError("form and chain live on different complexes")
+    return stokes_on_rows(rows, signs, list(chain.coeffs.values()), form.values[touched])
 
 
 def form_from_vertex_function(cx: CubicalComplex, f) -> DiscreteForm:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from defectfield import cli, load_field
+from defectfield import cli, forms, load_field
 from defectfield.cli import (
     EXIT_CLAIM_FAILURE,
     EXIT_OK,
@@ -206,6 +211,22 @@ def test_verify_extreme_magnitudes_exit_usage(descriptor, capsys):
     assert "float range: k=" in err and "(34," not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--dims", "17", "--refinements", "2"],
+    ["generate", "--dims", "5,5,1", "--out", "field.json"],
+])
+def test_overflowing_model_names_the_node_and_prints_no_warning(command, tmp_path):
+    # the sampled Ax overflows; the finiteness check, not numpy, reports it
+    huge = json.dumps({"model": "disclination", "k": 1, "a": 1e308})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "defectfield.cli", *command, "--model", huge],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite ax value at node (0, 0, 0)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_requires_disclination(tmp_path, capsys):
     assert main(["verify", "--model", DISLOCATION]) == EXIT_USAGE
 
@@ -234,6 +255,27 @@ def test_forms_demos(capsys):
     assert stokes["max_relative_residual"] <= 1e-12
 
 
+def _stokes_replay(nodes: int, pairs: int, seed: int) -> float:
+    """The stokes demo's worst residual, drawn from the same stream on a whole-complex form."""
+    rng = np.random.default_rng(seed)
+    cx = forms.CubicalComplex(nodes, nodes)
+    worst = 0.0
+    for _ in range(pairs):
+        degree = int(rng.integers(0, 2))
+        cells = rng.integers(0, cx.n_cells(degree + 1), size=5)
+        coeffs = {int(c): int(v) for c, v in
+                  zip(cells, rng.integers(-3, 4, size=5)) if v != 0}
+        chain = forms.Chain(cx, degree + 1, coeffs)
+        touched = np.unique(cx.lower_cells(degree + 1, list(coeffs))[0])
+        drawn = rng.standard_normal(touched.size)
+        values = np.zeros(cx.n_cells(degree))
+        values[touched] = drawn
+        form = forms.DiscreteForm(cx, degree, values)
+        scale = float(np.abs(drawn).max(initial=1.0))
+        worst = max(worst, abs(forms.stokes_residual(form, chain)) / scale)
+    return worst
+
+
 def test_forms_stokes_report_is_deterministic_and_exact(tmp_path):
     for nodes in (2, 3, 64):
         paths = [tmp_path / f"stokes-{nodes}-{k}.json" for k in range(2)]
@@ -244,6 +286,29 @@ def test_forms_stokes_report_is_deterministic_and_exact(tmp_path):
         report = json.loads(paths[0].read_text())
         assert (report["nodes"], report["seed"], report["pairs"]) == (nodes, 7, 50)
         assert 0.0 <= report["max_relative_residual"] <= 1e-12
+    # bit for bit the residual of a whole-complex form carrying the same draws
+    for nodes in (2, 3, 9, 64):
+        for seed in range(6):
+            path = tmp_path / f"replay-{nodes}-{seed}.json"
+            assert main(["forms", "--demo", "stokes", "--nodes", str(nodes), "--pairs", "50",
+                         "--seed", str(seed), "--out", str(path)]) == EXIT_OK
+            worst = json.loads(path.read_text())["max_relative_residual"]
+            assert worst == _stokes_replay(nodes, 50, seed), (nodes, seed)
+
+
+def test_forms_stokes_memory_does_not_grow_with_nodes(tmp_path):
+    # a whole-complex form at 4096 nodes per axis would be 268 MB per pair; a
+    # first small run keeps one-time imports (np.unique loads numpy.ma) out of the peak
+    assert main(["forms", "--demo", "stokes", "--nodes", "2", "--pairs", "1",
+                 "--out", str(tmp_path / "warm.json")]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main(["forms", "--demo", "stokes", "--nodes", "4096", "--pairs", "20",
+                     "--out", str(tmp_path / "stokes.json")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_forms_rejects_bad_numbers(capsys):
@@ -380,16 +445,18 @@ def test_generate_out_ending_in_bin_exits_usage(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_out_of_memory_exits_usage(monkeypatch, capsys):
-    # no real allocation: the form constructor stands in for one numpy refuses
+def test_out_of_memory_exits_usage(monkeypatch, capsys, tmp_path):
+    # no real allocation: the sampler stands in for an allocation numpy refuses
     def refuse(*args):
         raise MemoryError("Unable to allocate 149. GiB for an array")
 
-    monkeypatch.setattr(cli.forms, "DiscreteForm", refuse)
-    assert main(["forms", "--demo", "stokes"]) == EXIT_USAGE
+    monkeypatch.setattr(cli.fields, "sample_scalar", refuse)
+    assert main(["generate", "--model", DISLOCATION, "--dims", "4,4,1",
+                 "--out", str(tmp_path / "field.json")]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory: Unable to allocate 149. GiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_origin_without_spacing_exits_usage(tmp_path, capsys):
