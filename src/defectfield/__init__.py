@@ -88,7 +88,6 @@ from .verify import (
     magnetic_field,
     transverse_divergence,
     wave_residual,
-    wave_residual_fields,
 )
 
 __version__ = "0.1.0"

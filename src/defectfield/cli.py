@@ -181,6 +181,8 @@ def cmd_forms(args) -> int:
                   "max_relative_residual": worst, "tolerance": 1e-12,
                   "passed": worst <= 1e-12}
     elif args.demo == "period":
+        if not math.isfinite(args.radius):
+            raise ValueError(f"--radius must be finite, got {args.radius!r}")
         ax, ay = forms.angular_form_components()
         cycle = forms.ParametricCycle.circle(radius=args.radius, turns=args.turns)
         period = forms.period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))

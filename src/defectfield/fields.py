@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POTENTIAL_COMPONENTS = ("Ax", "Ay", "Az", "Phi")
-
 
 class SamplingError(ValueError):
     """A model or data source produced a non-finite value at a grid node."""

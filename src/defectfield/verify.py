@@ -16,13 +16,12 @@ The wave operator never holds a sampled grid: ``wave_residual_fields``
 walks x in slabs of SLAB_PLANES planes, evaluates the model on each slab's
 rows of the open grid plus a one-plane halo, and keeps each component in
 the model's own broadcast shape, so an axis a component does not vary
-along costs no stencil. Within a slab it stencils one x plane at a time
-into plane-sized buffers, which stay in cache. Its values equal the
-whole-grid ``fields.laplacian`` bit for bit. Each plane's residual either
-fills a grid-sized array, or, with ``reduce``, is computed at the interior
-nodes alone (bit-identical there) and its magnitudes are gathered per slab
-for ``reduce``, which ``wave_residual`` uses to fold the interior max and
-rms as it goes.
+along costs no stencil. Within a slab it stencils one x plane of interior
+nodes at a time into plane-sized buffers, which stay in cache; its values
+equal the whole-grid ``fields.laplacian`` bit for bit there. It yields each
+slab's |residual| of each component, in one slab-sized buffer that its next
+step overwrites, and ``wave_residual`` folds them into the interior max and
+rms as they come.
 
 ``claims`` checks the paper's claims for a disclination model as a table
 of (check, value, expected, tolerance) rows, each decided by one rule.
@@ -37,7 +36,6 @@ import numpy as np
 
 from . import detect, ledger
 from .fields import (
-    POTENTIAL_COMPONENTS,
     ComplexScalarField,
     GridSpec,
     PotentialField,
@@ -180,58 +178,48 @@ def _component(values, shape) -> np.ndarray:
     return arr.reshape((1,) * (3 - arr.ndim) + arr.shape)
 
 
-def wave_residual_fields(model, grid: GridSpec, t: float, *,
-                         reduce=None) -> dict | None:
-    """Per-component arrays of laplacian(f) - (1/c^2) d2f/dt2 on the grid.
+def wave_residual_fields(model, grid: GridSpec, t: float):
+    """Interior magnitudes of laplacian(f) - (1/c^2) d2f/dt2, per slab and component.
 
     One walk over x slabs of SLAB_PLANES planes: each slab evaluates the
     model on its rows of the open grid plus a halo plane each side, checks
     the planes no earlier slab checked for finiteness, and computes the
-    residual on its own planes only, one x plane at a time: the second
-    difference of ``fields.laplacian`` per axis (x, y, z) minus the closed
-    form time term ``harmonic_factor(model, 2)/c^2 * f``, with the model's
-    own ``omega`` and ``c``. So each slab is evaluated once, at t. Each
-    component stays in the model's broadcast shape, so an axis it does not
-    vary along costs nothing. The values equal the whole-grid ``laplacian``
-    bit for bit.
+    residual at its own interior nodes only (``interior_slices``), one x
+    plane at a time: the second difference of ``fields.laplacian`` per axis
+    (x, y, z) minus the closed form time term ``harmonic_factor(model, 2)/c^2
+    * f``, with the model's own ``omega`` and ``c``. So each slab is
+    evaluated once, at t. Each component stays in the model's broadcast
+    shape, so an axis it does not vary along costs nothing. The values equal
+    the whole-grid ``laplacian`` bit for bit at every interior node.
 
     The residual and the stencil's scratch are plane-sized and reused, so
     every pass over them stays in cache, and the previous slab's arrays are
     kept until the next slab is built, so the allocator reuses their memory
     instead of returning it to the system and faulting it back in.
 
-    Without ``reduce`` the planes fill one grid-sized array per component,
-    returned by name (``psi`` for a one-component model). With ``reduce``,
-    nothing is stored and None is returned: the residual is computed at the
-    interior nodes only (``interior_slices``), bit-identical at every node
-    it reports, and each slab's |residual| of each component, gathered plane
-    by plane into one slab-sized buffer, goes to
-    ``reduce(magnitudes, weight)``. The magnitudes cover the slab's interior
-    planes and rows, with length 1 along any axis the component does not
-    vary along (x included), each value standing for ``weight`` interior
-    nodes. They are a view of a buffer that the next call overwrites, so
-    ``reduce`` may write into it and copies whatever it keeps.
+    A generator: it yields ``(magnitudes, weight)`` once per slab and
+    component, in x order and then component order. The magnitudes are the
+    |residual| at the slab's interior planes and rows, with length 1 along
+    any axis the component does not vary along (x included), each value
+    standing for ``weight`` interior nodes. They are a view of a buffer that
+    the next step of the walk overwrites, so a consumer may write into it
+    and copies whatever it keeps.
     """
     coef = harmonic_factor(model, 2) / model.c ** 2
     X, Y, Z = grid.open_grid()
-    # the nodes the walk computes: the interior when it folds, else the grid
-    rows = interior_slices(grid.dims) if reduce else (slice(None),) * 3
-    spans = [range(*s.indices(n)) for s, n in zip(rows, grid.dims)]
-    out = None
+    spans = [range(*s.indices(n)) for s, n in zip(interior_slices(grid.dims), grid.dims)]
     checked = 0  # x planes [0, checked) are known finite
     # the residual and the stencil's scratch hold one x plane of the rows;
     # |residual| fills one slab-sized buffer
     plane = len(spans[1]) * len(spans[2])
     acc, scratch = np.empty(plane, dtype=np.complex128), np.empty(plane, dtype=np.complex128)
-    mags = np.empty(min(SLAB_PLANES, grid.dims[0]) * plane) if reduce else None
+    mags = np.empty(min(SLAB_PLANES, grid.dims[0]) * plane)
     for i0, i1, h0, h1 in _slabs(grid.dims[0]):
         window = (h1 - h0,) + grid.dims[1:]
         # the previous slab's arrays are alive until this assignment
         comps = [_component(v, window) for v in model.components(X[h0:h1], Y, Z, t)]
-        names, what = ((("psi",), ("scalar value",)) if len(comps) == 1 else
-                       (POTENTIAL_COMPONENTS, ("ax value", "ay value", "az value", "phi value")))
-        if reduce is None and out is None:
-            out = {name: np.empty(grid.dims, dtype=np.complex128) for name in names}
+        what = (("scalar value",) if len(comps) == 1 else
+                ("ax value", "ay value", "az value", "phi value"))
         for f, label in zip(comps, what, strict=True):
             if f.shape[0] > 1:
                 _require_finite(f[checked - h0:], label, checked)
@@ -240,7 +228,7 @@ def wave_residual_fields(model, grid: GridSpec, t: float, *,
         checked = h1
         # the slab's planes to compute; a slab with none is still checked
         own = range(max(i0, spans[0].start), min(i1, spans[0].stop))
-        for name, f in zip(names, comps if own else ()):
+        for f in comps if own else ():
             # f's indices of those nodes, and the number of them each value
             # stands for along the axes f is broadcast on
             region, weight = [], 1
@@ -253,35 +241,25 @@ def wave_residual_fields(model, grid: GridSpec, t: float, *,
             shape = tuple(s.stop - s.start for s in region)
             n = shape[1] * shape[2]
             r, tmp = acc[:n].reshape((1,) + shape[1:]), scratch[:n].reshape((1,) + shape[1:])
+            slab = mags[:n * shape[0]].reshape(shape)
             # one x plane at a time; a component constant along x has one
             # plane, which stands for all of the slab's own planes
-            targets = ([slice(i, i + 1) for i in own] if shape[0] > 1
-                       else [slice(own.start, own.stop)])
-            slab = mags[:n * shape[0]].reshape(shape) if reduce else None
-            for j, target in enumerate(targets):
+            for j in range(shape[0]):
                 at = (slice(region[0].start + j, region[0].start + j + 1), *region[1:])
                 _laplacian_at(r, f, grid, at, tmp)
                 r -= np.multiply(coef, f[at], out=tmp)
-                if reduce is None:
-                    out[name][target] = r
-                else:
-                    np.abs(r, out=slab[j:j + 1])
-            if reduce is not None:
-                reduce(slab, weight)
-    return out
+                np.abs(r, out=slab[j:j + 1])
+            yield slab, weight
 
 
 def wave_residual(model, grid: GridSpec, t: float) -> ResidualReport:
     """Interior statistics of the wave operator applied to every component.
 
-    The residual is computed at the interior nodes alone, and each slab's
-    magnitudes are folded by ``_sums`` as they are made; a value broadcast
-    along an axis stands for that axis's interior nodes, so it is weighted
-    by their number.
+    Each of ``wave_residual_fields``'s slabs of magnitudes is folded by
+    ``_sums`` as it is made; a value broadcast along an axis stands for that
+    axis's interior nodes, so it is weighted by their number.
     """
-    sums = []
-    wave_residual_fields(model, grid, t, reduce=lambda mags, w: sums.append(_sums(mags, w)))
-    mx, rms = _max_rms(sums)
+    mx, rms = _max_rms([_sums(m, w) for m, w in wave_residual_fields(model, grid, t)])
     return ResidualReport("wave", mx, rms, float(max(grid.spacing)))
 
 
@@ -396,9 +374,13 @@ def claims(model, dims: int, refinements: int) -> list[dict]:
         raise ValueError("verify needs --dims of at least 2: at --dims 1 the grid is "
                          "the axis node alone, where Ax vanishes")
     try:
-        table = _claim_table(model, dims, refinements)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # finite descriptor values whose squares leave float range (c = 1e308, 1e-300)
+        # an overflow in the derived arithmetic raises, and so does a NaN made
+        # from finite values (an inf grid scale 1/h^2 times a zero difference);
+        # sampling ignores both, so a non-finite sample still names its node
+        with np.errstate(over="raise", invalid="raise"):
+            table = _claim_table(model, dims, refinements)
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        # finite descriptor values whose products leave float range (c = 1e308, 1e-300)
         p = model.params
         raise ValueError(f"model magnitudes exceed float range: k={p.k:g}, c={p.c:g}, "
                          f"omega={p.omega:g}, a={p.a:g}, az={p.az:g}") from exc

@@ -197,18 +197,26 @@ def test_verify_underflowing_wave_scale_is_not_a_zero_amplitude(capsys):
     assert "float range" in err and "amplitude" not in err
 
 
-@pytest.mark.parametrize("descriptor", [
-    {"model": "disclination", "k": 1, "c": 1e308},
-    {"model": "disclination", "k": 1e200},
-    {"model": "disclination", "k": 1, "omega": 1e308},
-    {"model": "disclination", "k": 1, "c": 1e-300},
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("descriptor, params", [
+    pytest.param({"model": "disclination", "k": 1, "c": 1e308},
+                 "k=1, c=1e+308, omega=1e+308, a=1, az=1+0j", id="descriptor0"),
+    pytest.param({"model": "disclination", "k": 1e200},
+                 "k=1e+200, c=1, omega=1e+200, a=1e+200, az=1+0j", id="descriptor1"),
+    pytest.param({"model": "disclination", "k": 1, "omega": 1e308},
+                 "k=1, c=1, omega=1e+308, a=1, az=1+0j", id="descriptor2"),
+    pytest.param({"model": "disclination", "k": 1, "c": 1e-300},
+                 "k=1, c=1e-300, omega=1e-300, a=1, az=1+0j", id="descriptor3"),
+    # every sample is finite; the finite differences of Az overflow
+    pytest.param({"model": "disclination", "k": 1e50, "az": [1e300, 1]},
+                 "k=1e+50, c=1, omega=1e+50, a=1e+50, az=1e+300+1j", id="descriptor4"),
 ])
-def test_verify_extreme_magnitudes_exit_usage(descriptor, capsys):
+def test_verify_extreme_magnitudes_exit_usage(descriptor, params, capsys):
     argv = ["verify", "--model", json.dumps(descriptor), "--dims", "5", "--refinements", "1"]
     assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    # the message names the model's parameters, not the overflow's errno tuple
-    assert "float range: k=" in err and "(34," not in err
+    # one line naming the model's parameters, not the overflow's errno tuple
+    # nor a derived value as a non-finite sample
+    assert capsys.readouterr() == ("", f"error: model magnitudes exceed float range: {params}\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -311,14 +319,17 @@ def test_forms_stokes_memory_does_not_grow_with_nodes(tmp_path):
     assert peak < 2 ** 20
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_forms_rejects_bad_numbers(capsys):
-    for argv in (["--demo", "period", "--radius", "nan"],
-                 ["--demo", "period", "--radius", "inf"],
-                 ["--demo", "ws", "--energy", "nan"],
-                 ["--demo", "stokes", "--pairs", "0"],
-                 ["--demo", "stokes", "--pairs", "-5"]):
+    for argv, message in (
+            (["--demo", "period", "--radius", "nan"], "--radius must be finite, got nan"),
+            (["--demo", "period", "--radius", "inf"], "--radius must be finite, got inf"),
+            (["--demo", "ws", "--energy", "nan"],
+             "energy, frequency and mass must all be positive and finite"),
+            (["--demo", "stokes", "--pairs", "0"], "--pairs must be at least 1"),
+            (["--demo", "stokes", "--pairs", "-5"], "--pairs must be at least 1")):
         assert main(["forms", *argv]) == EXIT_USAGE, argv
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_ledger_command(capsys):

@@ -65,6 +65,7 @@ DISCLINATIONS = st.fixed_dictionaries(
 
 @SETTINGS
 @hypothesis.given(DISCLINATIONS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_disclination_verify_never_crashes(descriptor):
     argv = ["verify", "--model", json.dumps(descriptor), "--dims", "5", "--refinements", "1"]
     assert main(argv) in (EXIT_OK, EXIT_CLAIM_FAILURE, EXIT_USAGE)

@@ -33,7 +33,6 @@ from defectfield import (
     strip_scalar_potential,
     transverse_divergence,
     wave_residual,
-    wave_residual_fields,
 )
 from defectfield import cli, verify
 from defectfield.fields import harmonic_factor
@@ -256,7 +255,7 @@ def test_wave_residual_off_shell_magnitude():
     params = WaveParams(k=k, omega=2.0 * k, c=1.0)  # omega = 2kc
     model = DisclinationModel(params)
     grid = box_grid(k=k, n=33)
-    res = wave_residual_fields(model, grid, 0.0)["Ax"]
+    res = dense_wave_residual(model, grid, 0.0)["Ax"]
     f = sample_potential(model, grid, 0.0).ax
     region = interior_slices(grid.dims)
     mask = np.abs(f[region]) > 1e-6 * np.abs(f).max()
@@ -278,20 +277,6 @@ def test_wave_residual_static_constant():
     grid = GridSpec.centered((2.0, 2.0, 2.0), (7, 7, 7))
     rep = wave_residual(model, grid, 0.0)
     assert rep.interior_max == 0.0
-
-
-@pytest.mark.parametrize("model", [disclination(k=1.3, az=0.5 - 0.5j), PSI_MODELS[2]],
-                         ids=("potential", "scalar"))
-def test_wave_residual_report_matches_fields(model):
-    grid = GridSpec.centered((5.0, 4.0, 3.0), (19, 15, 11))
-    fields = wave_residual_fields(model, grid, 0.2)
-    count = len(model.components(0.0, 0.0, 0.0, 0.2))
-    assert list(fields) == (["Ax", "Ay", "Az", "Phi"] if count == 4 else ["psi"])
-    region = interior_slices(grid.dims)
-    mags = np.concatenate([np.abs(a[region]).ravel() for a in fields.values()])
-    report = wave_residual(model, grid, 0.2)
-    assert report.interior_max == mags.max() > 0
-    assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags**2)), rel=1e-12)
 
 
 def test_interior_slices_shapes():
@@ -329,6 +314,12 @@ def dense_wave_residual(model, grid, t):
     return out
 
 
+def walked_magnitudes(model, grid, t):
+    """The walk's magnitudes, each repeated by the number of nodes it stands for, sorted."""
+    return np.sort(np.concatenate([np.repeat(mags.ravel(), weight) for mags, weight
+                                   in verify.wave_residual_fields(model, grid, t)]))
+
+
 AXIS_NODES = st.integers(2, 20)
 
 
@@ -353,17 +344,17 @@ AXIS_NODES = st.integers(2, 20)
 # one and two interior planes
 @example(dims=(5, 6, 5), spacing=(0.3, 0.4, 0.5), kind="constant_potential", t=0.2)
 @example(dims=(6, 5, 9), spacing=(0.3, 0.4, 0.5), kind="plane_wave", t=0.2)
+# a potential and a scalar model on an anisotropic grid with several slabs
+@example(dims=(19, 15, 11), spacing=(5.0 / 18, 4.0 / 14, 3.0 / 10), kind="disclination", t=0.2)
+@example(dims=(19, 15, 11), spacing=(5.0 / 18, 4.0 / 14, 3.0 / 10), kind="product_sine", t=0.2)
 def test_wave_kernel_matches_dense_reference(dims, spacing, kind, t):
+    # every interior node's |residual| is the dense one bit for bit, counted once
     model = MODEL_KINDS[kind]()
     grid = GridSpec(dims, spacing, origin=(-0.4 * dims[0] * spacing[0], -0.3, 0.2))
-    reference = dense_wave_residual(model, grid, t)
-    streamed = wave_residual_fields(model, grid, t)
-    assert list(streamed) == list(reference)
-    for name, expected in reference.items():
-        assert streamed[name].shape == grid.dims
-        assert np.array_equal(streamed[name], expected), name
     region = interior_slices(grid.dims)
-    mags = np.concatenate([np.abs(a[region]).ravel() for a in reference.values()])
+    mags = np.concatenate([np.abs(r[region]).ravel()
+                           for r in dense_wave_residual(model, grid, t).values()])
+    assert walked_magnitudes(model, grid, t).tobytes() == np.sort(mags).tobytes()
     report = wave_residual(model, grid, t)
     assert report.interior_max == mags.max()
     assert report.interior_rms == pytest.approx(np.sqrt(np.mean(mags ** 2)), rel=1e-12,
@@ -407,7 +398,7 @@ def test_wave_kernel_names_the_global_non_finite_node(node):
         wave_residual(model, grid, 0.0)
     z0 = grid.node_position(*node)[2]
     with pytest.raises(SamplingError, match=rf"non-finite phi value at node \(0, 0, {node[2]}\)$"):
-        wave_residual_fields(_AxialNaN(z0), grid, 0.0)
+        list(verify.wave_residual_fields(_AxialNaN(z0), grid, 0.0))
 
 
 @pytest.mark.parametrize("kind", ["disclination", "constant_potential", "plane_wave",
@@ -416,11 +407,10 @@ def test_wave_kernel_names_the_global_non_finite_node(node):
                                   (2 * SLAB_PLANES + 3, 9, 3)])
 def test_fold_weights_count_every_interior_node_once(kind, dims):
     model = MODEL_KINDS[kind]()
-    counts = []
-    wave_residual_fields(model, GridSpec(dims, (0.3, 0.4, 0.5)), 0.2,
-                         reduce=lambda mags, weight: counts.append(weight * mags.size))
+    walk = verify.wave_residual_fields(model, GridSpec(dims, (0.3, 0.4, 0.5)), 0.2)
     interior = math.prod(len(range(*s.indices(n))) for s, n in zip(interior_slices(dims), dims))
-    assert sum(counts) == len(model.components(0.0, 0.0, 0.0, 0.2)) * interior
+    assert sum(weight * mags.size for mags, weight in walk) == \
+        len(model.components(0.0, 0.0, 0.0, 0.2)) * interior
 
 
 def _traced_peak(fn):
@@ -460,12 +450,12 @@ def test_wave_residual_does_not_depend_on_the_slab_size(kind, dims, monkeypatch)
     for planes in (1, 2, 4, 8):
         monkeypatch.setattr(verify, "SLAB_PLANES", planes)
         results.append((wave_residual(model, grid, 0.2),
-                        wave_residual_fields(model, grid, 0.2)))
-    (first, fields), *others = results
+                        walked_magnitudes(model, grid, 0.2).tobytes()))
+    (first, mags), *others = results
     for report, other in others:
         assert report.interior_max == first.interior_max
         assert report.interior_rms == pytest.approx(first.interior_rms, rel=1e-15, abs=0)
-        assert all(other[name].tobytes() == fields[name].tobytes() for name in fields)
+        assert other == mags
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
