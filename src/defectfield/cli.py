@@ -184,11 +184,21 @@ def cmd_forms(args) -> int:
         if not math.isfinite(args.radius):
             raise ValueError(f"--radius must be finite, got {args.radius!r}")
         ax, ay = forms.angular_form_components()
-        cycle = forms.ParametricCycle.circle(radius=args.radius, turns=args.turns)
-        period = forms.period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))
+        try:
+            # cycles whose points or tangents leave float range raise, or give an inf or NaN
+            with np.errstate(over="raise", invalid="raise"):
+                cycle = forms.ParametricCycle.circle(radius=args.radius, turns=args.turns)
+                period = forms.period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))
+                offset = forms.ParametricCycle.circle(cx=3.0 * args.radius, radius=args.radius)
+                away = forms.period_integral(ax, ay, offset, singularities=((0.0, 0.0),))
+            if not (math.isfinite(period) and math.isfinite(away)):
+                raise FloatingPointError
+        except forms.SingularityProximityError as exc:
+            raise ValueError(f"--radius {args.radius:g} is too small: {exc}") from exc
+        except FloatingPointError as exc:
+            raise ValueError(f"--radius {args.radius:g} is too large: the cycles' points "
+                             f"or tangents leave float range") from exc
         expected = 2.0 * math.pi * args.turns
-        offset = forms.ParametricCycle.circle(cx=3.0 * args.radius, radius=args.radius)
-        away = forms.period_integral(ax, ay, offset, singularities=((0.0, 0.0),))
         report = {"demo": "period", "turns": args.turns, "period": period,
                   "expected": expected, "non_enclosing_period": away,
                   "passed": abs(period - expected) <= 1e-9 and abs(away) <= 1e-9}

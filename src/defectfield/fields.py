@@ -284,42 +284,62 @@ def _central(dest: np.ndarray, f: np.ndarray, a: int, c0: int, c1: int, scale: f
 
 def _laplacian_at(out: np.ndarray, f: np.ndarray, grid: GridSpec, region: tuple,
                   scratch: np.ndarray) -> None:
-    """Write the sum over the axes of f's second difference at the region's nodes into out.
+    """Write the sum over the axes of f's second difference at the region's rows into out.
 
     Along each axis f holds either one value (f does not vary along it, and
     a constant's second difference is exactly zero) or a run of consecutive
     nodes: the whole axis or a window of it. ``region`` gives one slice of
-    f's indices per axis, and out and scratch have its shape. A region node
-    with f's nodes on both sides takes the central stencil; one at an end of
-    f's run, which must be the grid's edge with four of f's nodes there,
-    takes the one-sided four-point stencil (on a three-node axis, the
-    central value of the middle node). The first axis f varies along is
-    written straight into out; later axes are made in scratch and added.
+    f's indices per axis; out and scratch are C-contiguous, with the
+    region's length along x and y and f's whole width along z. So every
+    operand is a run of whole z rows (contiguous when f is): the x
+    neighbours one plane over, the y neighbours one row over and the z
+    neighbours one element over. That shift wraps at the row ends into the
+    z edge columns, whose z term is made exactly zero (f + f - f - f) and
+    whose values outside the region's z slice are for the caller to discard.
+    A region node with f's nodes on both sides takes the central stencil;
+    one at an end of f's run, which must be the grid's edge with four of
+    f's nodes there, takes the one-sided four-point stencil (on a three-node
+    axis, the central value of the middle node). The first axis f varies
+    along is written straight into out; later axes are made in scratch and
+    added.
     """
     for a, n in enumerate(grid.dims):
         if n < 2:
             raise ValueError(f"axis {a!r} has {n} node(s); need at least 2 to differentiate")
+    rows = (region[0], region[1], slice(None))
     target = out
     for a in range(3):
         m = f.shape[a]
         if m <= 2:
             continue
         lo, hi, _ = region[a].indices(m)
-        g = f[tuple(slice(None) if b == a else s for b, s in enumerate(region))]
+        g = f[tuple(slice(None) if b == a else s for b, s in enumerate(rows))]
         scale = 1.0 / grid.spacing[a] ** 2
-        c0, c1 = max(lo, 1), min(hi, m - 1)
-        if c0 < c1:
-            _central(_take(target, slice(c0 - lo, c1 - lo), a), g, a, c0, c1, scale)
+        if a == 2:
+            # the plane's rows end to end; only the wrapped edge columns are strided
+            run, dest = g.reshape(g.shape[0], -1), target.reshape(g.shape[0], -1)
+            np.add(run[:, :-2], run[:, 2:], out=dest[:, 1:-1])
+            np.add(g[..., ::m - 1], g[..., ::m - 1], out=target[..., ::m - 1])
+            dest -= run
+            dest -= run
+            dest *= scale
+            offset = 0  # target holds f's whole z width
+        else:
+            c0, c1 = max(lo, 1), min(hi, m - 1)
+            if c0 < c1:
+                _central(_take(target, slice(c0 - lo, c1 - lo), a), g, a, c0, c1, scale)
+            offset = lo
         for node, idx in ((0, (0, 1, 2, 3)), (m - 1, (m - 1, m - 2, m - 3, m - 4))):
             if not lo <= node < hi:
                 continue
+            at = node - offset
             if m == 3:
-                _central(_take(target, slice(node - lo, node - lo + 1), a), g, a, 1, 2, scale)
+                _central(_take(target, slice(at, at + 1), a), g, a, 1, 2, scale)
             else:
                 # written as differences so constant fields cancel exactly
                 f0, f1, f2, f3 = (_take(g, i, a) for i in idx)
                 np.multiply(2.0 * (f0 - f1) - 3.0 * (f1 - f2) + (f2 - f3), scale,
-                            out=_take(target, node - lo, a))
+                            out=_take(target, at, a))
         if target is out:
             target = scratch
         else:
@@ -337,7 +357,8 @@ def laplacian(field: ComplexScalarField) -> ComplexScalarField:
     at all three nodes, and a two-node axis contributes zero.
     """
     out = np.empty(field.grid.dims, dtype=np.complex128)
-    _laplacian_at(out, field.values, field.grid, (slice(None),) * 3, np.empty_like(out))
+    _laplacian_at(out, np.ascontiguousarray(field.values), field.grid, (slice(None),) * 3,
+                  np.empty_like(out))
     return ComplexScalarField(field.grid, field.time, out)
 
 

@@ -375,19 +375,29 @@ def angular_form_components(center=(0.0, 0.0)):
     """Component functions of the angular 1-form about ``center``.
 
     Its period over a cycle is 2*pi times the cycle's winding about the
-    center; singular at the center itself.
+    center; singular at the center itself. Where r^2 leaves float range the
+    components divide by r twice instead, with the same values elsewhere.
     """
     cx0, cy0 = center
+
+    def over_r2(num, dx, dy):
+        # num / r^2, or num / r / r where r^2 = dx^2 + dy^2 leaves float range
+        with np.errstate(over="ignore"):
+            r2 = dx * dx + dy * dy
+        if not np.isinf(r2).any():
+            return num / r2
+        r = np.hypot(dx, dy)
+        return np.where(np.isinf(r2), num / r / r, num / r2)
 
     def ax(x, y):
         dx = x - cx0
         dy = y - cy0
-        return -dy / (dx * dx + dy * dy)
+        return over_r2(-dy, dx, dy)
 
     def ay(x, y):
         dx = x - cx0
         dy = y - cy0
-        return dx / (dx * dx + dy * dy)
+        return over_r2(dx, dx, dy)
 
     return ax, ay
 

@@ -16,12 +16,13 @@ The wave operator never holds a sampled grid: ``wave_residual_fields``
 walks x in slabs of SLAB_PLANES planes, evaluates the model on each slab's
 rows of the open grid plus a one-plane halo, and keeps each component in
 the model's own broadcast shape, so an axis a component does not vary
-along costs no stencil. Within a slab it stencils one x plane of interior
-nodes at a time into plane-sized buffers, which stay in cache; its values
-equal the whole-grid ``fields.laplacian`` bit for bit there. It yields each
-slab's |residual| of each component, in one slab-sized buffer that its next
-step overwrites, and ``wave_residual`` folds them into the interior max and
-rms as they come.
+along costs no stencil. Within a slab it stencils blocks of x planes over
+the interior rows at their whole z width, so every operand is a contiguous
+run of rows, in buffers that stay in cache, and takes |residual| at the
+interior columns only, where it equals the whole-grid ``fields.laplacian``
+bit for bit. It yields each slab's |residual| of each component, in one
+slab-sized buffer that its next step overwrites, and ``wave_residual``
+folds them into the interior max and rms as they come.
 
 ``claims`` checks the paper's claims for a disclination model as a table
 of (check, value, expected, tolerance) rows, each decided by one rule.
@@ -51,6 +52,9 @@ from .models import DisclinationModel
 
 # x planes per slab of the wave residual
 SLAB_PLANES = 4
+# bytes of the wave residual's buffer per stencil call: as many of a slab's
+# planes as fit, and at least one
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -184,16 +188,18 @@ def wave_residual_fields(model, grid: GridSpec, t: float):
     One walk over x slabs of SLAB_PLANES planes: each slab evaluates the
     model on its rows of the open grid plus a halo plane each side, checks
     the planes no earlier slab checked for finiteness, and computes the
-    residual at its own interior nodes only (``interior_slices``), one x
-    plane at a time: the second difference of ``fields.laplacian`` per axis
-    (x, y, z) minus the closed form time term ``harmonic_factor(model, 2)/c^2
-    * f``, with the model's own ``omega`` and ``c``. So each slab is
-    evaluated once, at t. Each component stays in the model's broadcast
-    shape, so an axis it does not vary along costs nothing. The values equal
-    the whole-grid ``laplacian`` bit for bit at every interior node.
+    residual at its own interior planes and rows (``interior_slices``) over
+    whole z rows, a block of x planes at a time: the second difference of
+    ``fields.laplacian`` per axis (x, y, z) minus the closed form time term
+    ``harmonic_factor(model, 2)/c^2 * f``, with the model's own ``omega``
+    and ``c``. So each slab is evaluated once, at t. Each component stays in
+    the model's broadcast shape, so an axis it does not vary along costs
+    nothing. |residual| is taken at the interior z columns only, where the
+    values equal the whole-grid ``laplacian`` bit for bit.
 
-    The residual and the stencil's scratch are plane-sized and reused, so
-    every pass over them stays in cache, and the previous slab's arrays are
+    The residual and the stencil's scratch hold one block of planes (see
+    BLOCK_BYTES) and are reused, so every pass over them stays in cache, and
+    the previous slab's arrays are
     kept until the next slab is built, so the allocator reuses their memory
     instead of returning it to the system and faulting it back in.
 
@@ -209,11 +215,12 @@ def wave_residual_fields(model, grid: GridSpec, t: float):
     X, Y, Z = grid.open_grid()
     spans = [range(*s.indices(n)) for s, n in zip(interior_slices(grid.dims), grid.dims)]
     checked = 0  # x planes [0, checked) are known finite
-    # the residual and the stencil's scratch hold one x plane of the rows;
-    # |residual| fills one slab-sized buffer
-    plane = len(spans[1]) * len(spans[2])
-    acc, scratch = np.empty(plane, dtype=np.complex128), np.empty(plane, dtype=np.complex128)
-    mags = np.empty(min(SLAB_PLANES, grid.dims[0]) * plane)
+    # the residual and the stencil's scratch hold one block of x planes of
+    # the interior rows at full z width; |residual| fills one slab-sized buffer
+    rows = len(spans[1]) * grid.dims[2]
+    block = max(1, min(SLAB_PLANES, BLOCK_BYTES // (16 * rows)))
+    acc, scratch = (np.empty(block * rows, dtype=np.complex128) for _ in range(2))
+    mags = np.empty(min(SLAB_PLANES, grid.dims[0]) * len(spans[1]) * len(spans[2]))
     for i0, i1, h0, h1 in _slabs(grid.dims[0]):
         window = (h1 - h0,) + grid.dims[1:]
         # the previous slab's arrays are alive until this assignment
@@ -239,16 +246,19 @@ def wave_residual_fields(model, grid: GridSpec, t: float):
                 else:
                     region.append(slice(span.start - h, span.stop - h))
             shape = tuple(s.stop - s.start for s in region)
-            n = shape[1] * shape[2]
-            r, tmp = acc[:n].reshape((1,) + shape[1:]), scratch[:n].reshape((1,) + shape[1:])
-            slab = mags[:n * shape[0]].reshape(shape)
-            # one x plane at a time; a component constant along x has one
-            # plane, which stands for all of the slab's own planes
-            for j in range(shape[0]):
-                at = (slice(region[0].start + j, region[0].start + j + 1), *region[1:])
-                _laplacian_at(r, f, grid, at, tmp)
-                r -= np.multiply(coef, f[at], out=tmp)
-                np.abs(r, out=slab[j:j + 1])
+            slab = mags[:math.prod(shape)].reshape(shape)
+            # a block of x planes at a time, over their whole z rows; a
+            # component constant along x has one plane, which stands for
+            # all of the slab's own planes
+            for x0 in range(region[0].start, region[0].stop, block):
+                x1 = min(x0 + block, region[0].stop)
+                n = (x1 - x0) * shape[1] * f.shape[2]
+                r, tmp = (b[:n].reshape(x1 - x0, shape[1], f.shape[2]) for b in (acc, scratch))
+                _laplacian_at(r, f, grid, (slice(x0, x1), *region[1:]), tmp)
+                r -= np.multiply(coef, f[x0:x1, region[1]], out=tmp)
+                # |residual| at the interior columns only
+                j = x0 - region[0].start
+                np.abs(r[..., region[2]], out=slab[j:j + x1 - x0])
             yield slab, weight
 
 

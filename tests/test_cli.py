@@ -20,6 +20,7 @@ from defectfield.cli import (
 DISCLINATION = json.dumps({"model": "disclination", "k": 1.0, "c": 1.0})
 OFF_SHELL = json.dumps({"model": "disclination", "k": 1.0, "omega": 2.0, "c": 1.0})
 DISLOCATION = json.dumps({"model": "dislocation", "n": 1, "k": 1.0, "omega": 1.0})
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_generate_potential_field(tmp_path, capsys):
@@ -183,6 +184,15 @@ def test_verify_base_grid_residual_independent_of_refinements(tmp_path):
     assert values[0] == values[1]
 
 
+def test_verify_129_csv_is_the_pinned_bytes(tmp_path):
+    # 33, 65 and 129 nodes; tests/data/verify-129.csv pins the bytes, so a digit
+    # that moves fails here even when two runs agree with each other
+    out = tmp_path / "verify-129.csv"
+    assert main(["verify", "--model", DISCLINATION, "--dims", "33", "--refinements", "3",
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "verify-129.csv").read_bytes()
+
+
 def test_verify_rejects_zero_amplitude(capsys):
     zero = json.dumps({"model": "disclination", "k": 1.0, "a": 0, "az": [0, 0]})
     assert main(["verify", "--model", zero, "--dims", "9", "--refinements", "1"]) == EXIT_USAGE
@@ -324,12 +334,20 @@ def test_forms_rejects_bad_numbers(capsys):
     for argv, message in (
             (["--demo", "period", "--radius", "nan"], "--radius must be finite, got nan"),
             (["--demo", "period", "--radius", "inf"], "--radius must be finite, got inf"),
+            (["--demo", "period", "--radius", "1e308"], "--radius 1e+308 is too large: the "
+             "cycles' points or tangents leave float range"),
+            (["--demo", "period", "--radius", "1e-7"], "--radius 1e-07 is too small: cycle "
+             "passes within 1.00e-07 of singular point (0.0, 0.0)"),
             (["--demo", "ws", "--energy", "nan"],
              "energy, frequency and mass must all be positive and finite"),
             (["--demo", "stokes", "--pairs", "0"], "--pairs must be at least 1"),
             (["--demo", "stokes", "--pairs", "-5"], "--pairs must be at least 1")):
         assert main(["forms", *argv]) == EXIT_USAGE, argv
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    # r^2 leaves float range, but the cycle does not: the angular form still winds once
+    assert main(["forms", "--demo", "period", "--radius", "1e160"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["period"] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
 def test_ledger_command(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectfield import (
     ComplexScalarField,
@@ -254,6 +255,45 @@ def test_laplacian_of_quadratic():
     with pytest.raises(ValueError, match="1 node"):
         laplacian(ComplexScalarField(GridSpec((5, 1, 5), (1.0, 1.0, 1.0)), 0.0,
                                      np.zeros((5, 1, 5), complex)))
+
+
+def reference_laplacian(values, spacing):
+    """The ``laplacian`` docstring's formula in plain numpy, in the same operation order.
+
+    Per axis ((f[i-1] + f[i+1]) - f[i] - f[i]) * s at interior nodes, with
+    s = 1/h^2, ((2(f0 - f1) - 3(f1 - f2)) + (f2 - f3)) * s at the ends, the
+    middle node's value at all three nodes of a three-node axis, and zero
+    for a two-node axis; the axes are summed x, then y, then z.
+    """
+    total = None
+    for a, h in enumerate(spacing):
+        f = np.moveaxis(values, a, 0)
+        if f.shape[0] == 2:
+            continue
+        s = 1.0 / h ** 2
+        d = np.empty_like(f)
+        d[1:-1] = (f[:-2] + f[2:] - f[1:-1] - f[1:-1]) * s
+        if f.shape[0] == 3:
+            d[0] = d[2] = d[1]
+        else:
+            d[0] = (2.0 * (f[0] - f[1]) - 3.0 * (f[1] - f[2]) + (f[2] - f[3])) * s
+            d[-1] = (2.0 * (f[-1] - f[-2]) - 3.0 * (f[-2] - f[-3]) + (f[-3] - f[-4])) * s
+        d = np.moveaxis(d, 0, a)
+        total = d if total is None else total + d
+    return np.zeros(values.shape, dtype=np.complex128) if total is None else total
+
+
+@settings(deadline=None, database=None, max_examples=80)
+@given(dims=st.tuples(*[st.integers(2, 20)] * 3), spacing=st.tuples(*[st.floats(0.05, 2.0)] * 3),
+       seed=st.integers(0, 2 ** 32 - 1), x_fastest=st.booleans())
+def test_laplacian_matches_an_independent_reference(dims, spacing, seed, x_fastest):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    if x_fastest:  # the layout sampling gives
+        values = np.ascontiguousarray(values.T).T
+    grid = GridSpec(dims, spacing)
+    got = laplacian(ComplexScalarField(grid, 0.0, values)).values
+    assert got.tobytes() == np.ascontiguousarray(reference_laplacian(values, spacing)).tobytes()
 
 
 class _QuadraticPotential(PotentialModel):

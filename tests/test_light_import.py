@@ -1,5 +1,6 @@
 """Every CLI command and every demo runs with scipy blocked: numpy is the package's
-only dependency."""
+only dependency. Importing the package and its CLI loads no heavy standard or test
+module either."""
 
 import json
 import os
@@ -60,3 +61,15 @@ def test_cli_commands_and_demos_run_with_scipy_blocked(tmp_path):
     assert len(result["exits"]) == len(COMMANDS)
     assert all(code <= highest for code, (_, highest) in zip(result["exits"], COMMANDS))
     assert result["demos"] == len(DEMOS) == 5
+
+
+def test_import_loads_no_heavy_module():
+    # the benchmark's setup_s times exactly this import in a fresh process
+    heavy = ("scipy", "concurrent", "logging", "multiprocessing", "hypothesis")
+    script = ("import json, sys, defectfield, defectfield.cli; "
+              "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)).isdisjoint(heavy)

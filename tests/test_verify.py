@@ -485,6 +485,18 @@ def test_rms_does_not_overflow_while_the_max_is_finite(a):
     assert interior_stats(grid, [values, -values]) == (a, a)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wrapped_z_columns_raise_no_floating_point_flag():
+    # the stencil's flat z shift pairs a row's last sample with the next row's
+    # second; near float range that arithmetic overflows unless its z term is
+    # made exactly zero in the columns the walk then discards
+    model = DisclinationModel(WaveParams.with_dispersion(k=1.0, a=1e307))
+    grid = GridSpec.centered((6.0, 6.0, 3.0), (17, 17, 17))
+    assert wave_residual(model, grid, 0.0).interior_max == 9.311290933498433e+304
+    with np.errstate(over="raise", invalid="raise"):  # as ``claims`` runs it
+        assert wave_residual(model, grid, 0.0).interior_max == 9.311290933498433e+304
+
+
 def test_lorentz_residual_evaluates_phi_alone():
     model = disclination(k=1.1, az=0.7 - 0.4j)
     grid = box_grid(k=1.1, n=65)
