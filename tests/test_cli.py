@@ -336,6 +336,9 @@ def test_forms_rejects_bad_numbers(capsys):
             (["--demo", "period", "--radius", "inf"], "--radius must be finite, got inf"),
             (["--demo", "period", "--radius", "1e308"], "--radius 1e+308 is too large: the "
              "cycles' points or tangents leave float range"),
+            # 1e307 * 2 pi * 3 overflows in Python floats: an infinite tangent
+            (["--demo", "period", "--turns", "3", "--radius", "1e307"], "--radius 1e+307 is too "
+             "large: the cycles' points or tangents leave float range"),
             (["--demo", "period", "--radius", "1e-7"], "--radius 1e-07 is too small: cycle "
              "passes within 1.00e-07 of singular point (0.0, 0.0)"),
             (["--demo", "ws", "--energy", "nan"],

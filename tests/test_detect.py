@@ -212,6 +212,17 @@ def test_winding_loop_off_grid_or_nan_raises():
         assert phase_winding(field, LoopPath.circle(0.0, 0.0, 1.0, z=z)) == 1
 
 
+def test_winding_reads_the_slice_nearest_the_loop():
+    # four slices at z = -1.5, -0.5, 0.5, 1.5 that wind +1, -1, +1, -1
+    grid = GridSpec.centered((4.0, 4.0, 3.0), (41, 41, 4))
+    X, Y, Z = grid.meshgrid()
+    sign = np.where(np.rint(Z + 1.5) % 2 == 0, 1.0, -1.0)
+    field = ComplexScalarField(grid, 0.0, X + 1j * sign * Y)
+    # -2.0 and 2.0 lie half a spacing outside the first and last slice
+    for z, winding in ((-2.0, 1), (-1.5, 1), (-0.9, -1), (0.4, 1), (1.5, -1), (2.0, -1)):
+        assert phase_winding(field, LoopPath.circle(0.0, 0.0, 1.0, z=z)) == winding, z
+
+
 def on_node_cores(seed):
     """1-3 cores of |n| <= 3 on random interior nodes, at least 6 cells apart.
 
@@ -452,6 +463,8 @@ def test_pattern_rotation_rate_examples():
 
     four = DisclinationModel(WaveParams(k=1.0, omega=4.0))
     assert pattern_rotation_rate(four, 0.0, 0.5) == pytest.approx(2.0, abs=1e-9)
+    # an interval that does not start at 0: a quarter period from t = 0.3
+    assert pattern_rotation_rate(four, 0.3, 0.3 + math.pi / 8) == pytest.approx(2.0, abs=1e-9)
 
     with pytest.raises(ValueError, match="t1 must not precede t0"):
         pattern_rotation_rate(model, 1.0, 0.0)
@@ -469,6 +482,9 @@ def test_axial_twist_examples():
     rate = axial_twist_per_length(two, 0.0, math.pi / 2, 0.0)
     assert abs(rate) * (math.pi / 2) == pytest.approx(math.pi / 2, abs=1e-9)
     assert rate == pytest.approx(-1.0, abs=1e-9)  # signed: -k/2
+    # an interval that does not start at 0: a quarter wavelength from z = 0.3
+    rate = axial_twist_per_length(two, 0.3, 0.3 + math.pi / 4, 0.0)
+    assert rate * math.pi == pytest.approx(-math.pi, abs=1e-9)  # pi per wavelength
 
 
 def test_rotation_twist_consistency():

@@ -82,6 +82,22 @@ def test_save_field_bytes_match_reference_encoding(tmp_path, kind):
     assert data.read_bytes() == reference
 
 
+def test_pinned_field_file_loads_and_saves_byte_for_byte(tmp_path):
+    # a committed 3x2x2 potential field pins the on-disk format: the manifest's
+    # version, keys and layout, and the binary's order (x fastest, Ax Ay Az Phi)
+    pinned = Path(__file__).parent / "data" / "potential-3x2x2.json"
+    field = load_field(pinned)
+    i, j, k = np.indices((3, 2, 2))
+    node = i + 3 * j + 6 * k
+    assert field.grid == GridSpec((3, 2, 2), (0.5, 0.25, 2.0), (-1.0, 0.5, 3.0))
+    assert field.time == 0.75
+    for c, arr in enumerate(_arrays(field)):
+        np.testing.assert_array_equal(arr, (node + 12 * c) + 1j * (0.5 - c - 0.25 * node))
+    manifest, data = save_field(field, tmp_path / pinned.name)
+    assert manifest.read_bytes() == pinned.read_bytes()
+    assert data.read_bytes() == pinned.with_suffix(".bin").read_bytes()
+
+
 def test_save_field_of_a_sampled_field_copies_no_component(tmp_path):
     # sampled arrays are x fastest, the file's order, so each is written as it is
     field = _sampled("potential", (33, 33, 8))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,12 +259,61 @@ def test_period_integral_singularity_guard():
 
 
 def test_period_integral_warns_when_unresolved():
-    # angular form singular just inside the cycle: 16..64 samples cannot
-    # resolve the peak, so refinement fails the ratio test
+    # angular form singular just inside the cycle: the trapezoid and midpoint
+    # halves still differ by 0.96 at 256 samples and by 8.4e-11 at 2560, above
+    # the floor 1e-12 * 2 pi, and agree to rounding at 4096. The integrand is
+    # mirror-symmetric about s = 1/2, so the two interleaved halves of a 2m-point
+    # midpoint sum are mirror images and would agree exactly at every count.
     ax, ay = angular_form_components(center=(0.99, 0.0))
-    cycle = ParametricCycle.circle(radius=1.0, samples=16)
-    with pytest.warns(QuadratureAccuracyWarning):
-        period_integral(ax, ay, cycle, singularities=((0.99, 0.0),))
+    for samples in (16, 32, 64, 128, 256, 2560):
+        cycle = ParametricCycle.circle(radius=1.0, samples=samples)
+        with pytest.warns(QuadratureAccuracyWarning):
+            period_integral(ax, ay, cycle, singularities=((0.99, 0.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = period_integral(ax, ay, ParametricCycle.circle(samples=4096))
+    assert value == pytest.approx(TWO_PI, abs=1e-12)
+
+
+def test_period_integral_is_the_mean_of_its_trapezoid_and_midpoint_halves():
+    # Re(z^m) dtheta on the unit circle integrates 2 pi cos(2 pi m s): the m-point
+    # trapezoid sum reads +2 pi, the midpoint sum -2 pi, and their mean the exact 0
+    m = 16
+    cycle = ParametricCycle.circle(samples=m)
+
+    def g(x, y):
+        return np.real((x + 1j * y) ** m)
+
+    with pytest.warns(QuadratureAccuracyWarning, match=r"differ by 1\.26e\+01"):
+        value = period_integral(lambda x, y: -y * g(x, y), lambda x, y: x * g(x, y), cycle)
+    assert abs(value) <= 1e-12
+
+
+def test_period_integral_evaluates_the_form_at_twice_the_samples():
+    sizes = []
+
+    def ax(x, y):
+        sizes.append(x.size)
+        return -y
+
+    def ay(x, y):
+        sizes.append(x.size)
+        return x
+
+    for samples in (16, 100, 256):
+        sizes.clear()
+        value = period_integral(ax, ay, ParametricCycle.circle(samples=samples))
+        assert sizes == [2 * samples, 2 * samples]
+        assert value == pytest.approx(TWO_PI, abs=1e-12)  # x dy - y dx: twice the area pi
+
+
+def test_period_integral_raises_on_a_non_finite_sum():
+    # radius * 2 pi * turns overflows in Python floats, so the tangent is infinite;
+    # with numpy's invalid flag ignored, the sum is NaN and must not be returned
+    ax, ay = angular_form_components()
+    cycle = ParametricCycle.circle(radius=1e307, turns=3)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))
 
 
 def test_parametric_cycle_validation():

@@ -203,6 +203,18 @@ def test_lorentz_residual_on_shell_disclination():
     assert rep.interior_max <= 1e-9
 
 
+def test_lorentz_residual_matched_step_of_a_model_without_params():
+    # PureGaugeModel has no WaveParams, so the matched step falls back to dz / c.
+    # Axial and on shell (omega = c k = 2), omega dt = k dz makes the two central
+    # differences cancel: the residual is rounding in two difference quotients of
+    # unit-modulus samples over 2 dz, a few ulps each, so within 8 eps / dz.
+    model = PureGaugeModel(PlaneWaveModel(kvec=(0.0, 0.0, 1.0), omega=2.0), c=2.0)
+    grid = GridSpec.centered(4.0, (17, 17, 17))
+    dz = grid.spacing[2]
+    rep = lorentz_residual(sample_potential(model, grid, 0.0), model)
+    assert rep.interior_max <= 8 * np.finfo(float).eps / dz
+
+
 def test_lorentz_residual_zero_field():
     model = _ConstantPotential()
     grid = GridSpec.centered((2.0, 2.0, 2.0), (7, 7, 7))
