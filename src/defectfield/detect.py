@@ -164,19 +164,24 @@ def _wraps(d: np.ndarray) -> np.ndarray:
     return (d <= -math.pi).view(np.int8) - (d > math.pi).view(np.int8)
 
 
+def _windings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Winding of each closed column of values (last == first), and whether it is ambiguous:
+    the raw phase steps telescope to zero, so the winding counts the shifts that wrap
+    them, and a raw step d in [-2*pi, 2*pi] wraps to +-pi when |d| is pi within 1e-9."""
+    steps = np.diff(np.angle(values), axis=0)
+    return _wraps(steps).sum(axis=0), (np.abs(np.abs(steps) - math.pi) <= 1e-9).any(axis=0)
+
+
 def _winding_from_values(values: np.ndarray, floor: float) -> int:
-    """Winding of closed values (last == first): their raw phase steps telescope
-    to zero, so it is the signed count of the shifts that wrap them."""
+    """Winding of closed values that clear the floor and step unambiguously."""
     amp = np.abs(values)
     if np.any(amp <= floor):
-        raise NearZeroOnLoopError(
-            f"loop amplitude {amp.min():.3e} is at or below tolerance {floor:.3e}"
-        )
-    steps = np.diff(np.angle(values))
-    # a raw step d in [-2*pi, 2*pi] wraps to +-pi exactly when |d| is pi
-    if np.any(np.abs(np.abs(steps) - math.pi) <= 1e-9):
+        raise NearZeroOnLoopError(f"loop amplitude {amp.min():.3e} is at or below "
+                                  f"tolerance {floor:.3e}")
+    winding, ambiguous = _windings(values)
+    if ambiguous:
         raise AmbiguousStepError("a phase step equals pi within 1e-9; refine the loop")
-    return int(_wraps(steps).sum())
+    return int(winding)
 
 
 def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
@@ -190,7 +195,7 @@ def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
 
 
 def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
-    """Integer winding of every 2x2 plaquette of a complex slice (CCW about +z)."""
+    """Integer winding of every 2x2 plaquette of the first two axes (CCW about +z)."""
     phase = np.angle(values2d + 0.0)  # + 0.0 clears signed zeros: angle(-0.0) is pi
     # The raw steps around a plaquette telescope to zero: its winding is the
     # signed count of the shifts of its wrapped steps, each step taken along
@@ -199,13 +204,8 @@ def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
     return (sx[:, :-1] + sy[1:, :] - sx[:, 1:] - sy[:-1, :]).astype(int)
 
 
-def _windings_at(values2d: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``_plaquette_windings(values2d)[i, j]`` (as int8) from the gathered corners only."""
-    p00, p10, p11, p01 = np.angle(values2d[[i, i + 1, i + 1, i], [j, j, j + 1, j + 1]] + 0.0)
-    return _wraps(p10 - p00) + _wraps(p11 - p10) - _wraps(p11 - p01) - _wraps(p01 - p00)
-
-
-def _plaquette_centroid(grid: GridSpec, i: int, j: int, k: int):
+def _plaquette_centroid(grid: GridSpec, i, j, k: int):
+    """Centre of plaquette (i, j) of slice k; i and j may be index arrays."""
     x0, y0, z0 = grid.node_position(i, j, k)
     return (x0 + grid.spacing[0] / 2, y0 + grid.spacing[1] / 2, z0)
 
@@ -229,12 +229,13 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     amplitudes (a slice cut to an aperture is mostly exact zeros), and none
     passes for a component that is zero everywhere.
 
-    The work is done in this order, so that only the joint amplitude, its
-    median and the first component's windings cost a whole slice: the ring
-    test gathers the rings of the nodes at or below the floor only; the
-    first component is wound on every plaquette, and each later one only at
-    the plaquettes still candidates (``_windings_at``, the same wrap rule);
-    the per-component medians are taken only when a candidate is left.
+    Only the joint amplitude, its median and the first component's
+    windings cost a whole slice; the rest reads two gathers. The rings
+    around the low nodes give the ring test (on amplitudes, first at the
+    +x neighbour), then the ring windings with their ambiguity test and
+    the confidences; the 2x2 corner blocks of the
+    plaquettes where the first component winds give the later ones'
+    windings, the floor and ``REL_ZERO`` tests and the confidences.
     """
     nx, ny = comps[0].shape
     if nx < 2 or ny < 2:
@@ -242,44 +243,38 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
     amps = [np.abs(c) for c in comps]
     amp = amps[0] if len(amps) == 1 else np.hypot(*amps)
     floor = TOL_AMP * float(np.median(amp))
-    records = []
-    consumed = np.zeros((nx - 1, ny - 1), dtype=bool)
 
     low = np.logical_and.reduce([a <= floor for a in amps])
-    nodes = np.argwhere(low[1:-1, 1:-1]) + 1
-    rings = amps[0][nodes[:, :1] + _RING[:-1, 0], nodes[:, 1:] + _RING[:-1, 1]]
-    nodes = nodes[(rings > floor).all(axis=1)]
-    for i, j in nodes:
-        ring = (i + _RING[:, 0], j + _RING[:, 1])
-        try:
-            idx = _winding_from_values(comps[0][ring], floor)
-        except AmbiguousStepError:
-            continue  # the ring is too coarse for this core; plaquettes report it
-        if idx != 0:
-            records.append(DefectRecord(kind, grid.node_position(i, j, z_slice),
-                                        Fraction(idx), float(amp[ring].min())))
-        consumed[i - 1:i + 1, j - 1:j + 1] = True
-    low[tuple(nodes.T)] = False
-
+    # a low node with its +x neighbour at the floor fails the ring test; drops aperture zeros
+    node = np.add(np.nonzero(low[1:-1, 1:-1] & (amps[0][2:, 1:-1] > floor)), 1)
+    ring = node[:, None] + _RING.T[:, :, None]  # (2, 9, nodes): (i, j) of each closed ring
+    clear = (amps[0][tuple(ring)] > floor).all(axis=0)  # the on-node zeros
+    (i, j), ring = node[:, clear], ring[:, :, clear]
+    low[i, j] = False
+    winding, ambiguous = _windings(comps[0][tuple(ring)])
+    # an ambiguous ring is too coarse for its core, so its plaquettes report it
     first = _plaquette_windings(comps[0])
-    ci, cj = np.nonzero((first != 0) & ~consumed)
+    first[i[~ambiguous, None] - (1, 1, 0, 0), j[~ambiguous, None] - (1, 0, 1, 0)] = 0
+    on = ~ambiguous & (winding != 0)
+
+    ci, cj = np.nonzero(first != 0)  # a bool mask scans faster than int64
+    corner = (ci + [[[0]], [[1]]], cj + [[0], [1]])  # (2, 2, cells): reduce along the cells
+    keep = ~low[corner].any(axis=(0, 1))
     for c in comps[1:]:
-        winds = _windings_at(c, ci, cj) != 0
-        ci, cj = ci[winds], cj[winds]
-    medians = []
-    if len(ci) and len(amps) > 1:
-        nonzero = [a[a > 0] for a in amps]  # fresh copies
-        medians = [float(np.median(v, overwrite_input=True)) if v.size else -math.inf
-                   for v in nonzero]
-    for i, j in zip(ci, cj):
-        if low[i:i + 2, j:j + 2].any() or any(
-                a[i:i + 2, j:j + 2].min() > REL_ZERO * m for a, m in zip(amps, medians)):
-            continue
-        records.append(DefectRecord(kind, _plaquette_centroid(grid, i, j, z_slice),
-                                    Fraction(int(first[i, j])),
-                                    float(amp[i:i + 2, j:j + 2].min())))
-    records.sort(key=lambda r: r.position)
-    return records
+        keep &= _plaquette_windings(c[corner])[0, 0] != 0
+    if len(amps) > 1 and keep.any():  # the medians only when a candidate is left
+        for a in amps:
+            nonzero = a[a > 0]  # a fresh copy
+            m = float(np.median(nonzero, overwrite_input=True)) if nonzero.size else -math.inf
+            keep &= a[corner].min(axis=(0, 1)) <= REL_ZERO * m
+
+    x, y, z = grid.node_position(i[on], j[on], z_slice)
+    px, py, _ = _plaquette_centroid(grid, ci[keep], cj[keep], z_slice)
+    columns = (np.concatenate(pair).tolist() for pair in (
+        (x, px), (y, py), (winding[on], first[ci, cj][keep]),
+        (amp[tuple(ring)].min(axis=0)[on], amp[corner].min(axis=(0, 1))[keep])))
+    return sorted((DefectRecord(kind, (x, y, z), Fraction(n), c)
+                   for x, y, n, c in zip(*columns)), key=lambda r: r.position)
 
 
 def find_dislocations(field: ComplexScalarField, z_slice: int) -> list[DefectRecord]:

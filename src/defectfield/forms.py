@@ -316,11 +316,10 @@ class ParametricCycle:
     def __post_init__(self):
         if self.samples < 16:
             raise ValueError("a cycle needs at least 16 samples")
-        x0, y0 = self.curve(np.array([0.0]))
-        x1, y1 = self.curve(np.array([1.0]))
-        gap = math.hypot(float(x1[0] - x0[0]), float(y1[0] - y0[0]))
-        scale = max(1.0, abs(float(x0[0])), abs(float(y0[0])))
-        if not gap <= 1e-12 * scale:  # a NaN gap (non-finite curve) fails too
+        x, y = self.curve(np.linspace(0.0, 1.0, self.samples + 1))
+        gap = math.hypot(float(x[-1] - x[0]), float(y[-1] - y[0]))
+        # the ends round apart in proportion to the curve's extent and offset; a NaN gap fails
+        if not gap <= 1e-12 * max(1.0, float(np.abs(x).max()), float(np.abs(y).max())):
             raise ValueError(f"curve endpoints differ by {gap:.3e}; cycle must close")
 
     @classmethod
@@ -406,8 +405,13 @@ def ws_integral(energy: float, frequency: float, mass: float) -> float:
     """
     if not all(math.isfinite(v) and v > 0 for v in (energy, frequency, mass)):
         raise ValueError("energy, frequency and mass must all be positive and finite")
-    q_amp = math.sqrt(2.0 * energy / mass) / (TWO_PI * frequency)
-    p_amp = math.sqrt(2.0 * mass * energy)
+    ratio, product = 2.0 * energy / mass, 2.0 * mass * energy
+    q_amp, p_amp = math.sqrt(ratio) / (TWO_PI * frequency), math.sqrt(product)
+    # p_amp is normal with product; 2*pi*q_amp*p_amp is the period sum's largest term
+    if not all(np.finfo(float).tiny <= v <= np.finfo(float).max
+               for v in (ratio, product, q_amp, TWO_PI * q_amp * p_amp)):
+        raise ValueError(f"energy {energy!r}, frequency {frequency!r} and mass {mass!r} "
+                         "put the orbit's amplitudes out of the normal float range")
 
     def curve(s):
         return q_amp * np.sin(TWO_PI * s), p_amp * np.cos(TWO_PI * s)

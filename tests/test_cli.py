@@ -353,6 +353,19 @@ def test_forms_rejects_bad_numbers(capsys):
     assert err == "" and json.loads(out)["period"] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forms_ws_wide_orbit_and_amplitudes_out_of_range(capsys):
+    # a closed orbit 7118 wide that starts near the origin passes
+    assert main(["forms", "--demo", "ws", "--energy", "1", "--nu", "1e-3",
+                 "--mass", "1e-3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    # 2 * mass * energy underflows: one message, no numpy warning
+    assert main(["forms", "--demo", "ws", "--energy", "1e-150", "--nu", "1e-300",
+                 "--mass", "1e-300"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: energy 1e-150, frequency 1e-300 and mass 1e-300 "
+                                   "put the orbit's amplitudes out of the normal float range\n")
+
+
 def test_ledger_command(capsys):
     assert main(["ledger", "--nu", "1.0"]) == EXIT_OK
     geo = json.loads(capsys.readouterr().out)

@@ -29,6 +29,7 @@ from defectfield.detect import (
     RigidRotationFitError,
     _circle_azimuths,
     _fit_rotation_step,
+    _loop_values,
     _plaquette_windings,
     wrap_angle,
 )
@@ -221,6 +222,21 @@ def test_winding_reads_the_slice_nearest_the_loop():
     # -2.0 and 2.0 lie half a spacing outside the first and last slice
     for z, winding in ((-2.0, 1), (-1.5, 1), (-0.9, -1), (0.4, 1), (1.5, -1), (2.0, -1)):
         assert phase_winding(field, LoopPath.circle(0.0, 0.0, 1.0, z=z)) == winding, z
+
+
+def test_loop_values_reproduce_a_bilinear_field():
+    # bilinear interpolation is exact on a + b*x + c*y + d*x*y, whatever the cell shape
+    grid = GridSpec((7, 11, 1), (0.7, 0.3, 1.0), origin=(-1.3, 0.4, 0.0))
+    X, Y, _ = grid.meshgrid()
+    a, b, c, d = 0.3 - 1.2j, 1.7 + 0.4j, -0.9 + 2.1j, 1.1 - 0.6j
+    field = ComplexScalarField(grid, 0.0, a + b * X + c * Y + d * X * Y)
+    rng = np.random.default_rng(11)
+    xs, ys = grid.axis_coords(0), grid.axis_coords(1)
+    points = rng.uniform((xs[0], ys[0]), (xs[-1], ys[-1]), (40, 2))
+    loop = LoopPath(np.vstack([points, points[:1]]))
+    x, y = loop.points.T
+    np.testing.assert_allclose(_loop_values(field, loop), a + b * x + c * y + d * x * y,
+                               rtol=0, atol=1e-12)
 
 
 def on_node_cores(seed):

@@ -1,6 +1,7 @@
 """The slice scanner against the whole-slice scan it replaced, on random one- and
 two-component slices: on-node cores up to |n| = 4, aperture masks with exact and
-signed zeros, and exact +-pi phase steps."""
+signed zeros, and exact +-pi phase steps; and on dense random waves, whose records
+also sum to the winding of grid-aligned rectangles."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from defectfield import GridSpec
+from defectfield import ComplexScalarField, GridSpec, LoopPath, phase_winding
 from defectfield.detect import (
     _RING,
     REL_ZERO,
@@ -19,7 +20,6 @@ from defectfield.detect import (
     _plaquette_centroid,
     _plaquette_windings,
     _winding_from_values,
-    _windings_at,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -136,7 +136,50 @@ def test_find_zeros_equals_the_whole_slice_scan(case):
     comps, grid = case
     kind = "dislocation" if len(comps) == 1 else "disclination"
     assert _find_zeros(comps, grid, 0, kind) == whole_slice_find_zeros(comps, grid, 0, kind)
-    i, j = (a.ravel() for a in np.indices(np.subtract(comps[0].shape, 1)))
-    for c in comps:
-        # the gathered corners wind as the whole-slice form does, exact +-pi steps included
-        np.testing.assert_array_equal(_windings_at(c, i, j), _plaquette_windings(c)[i, j])
+
+
+def random_wave(n, seed, waves=64, wavelength=13.0):
+    """An n x n slice of unit spacing: the sum of ``waves`` plane waves of one wavelength,
+    with random directions and phases (Berry & Dennis, Proc. R. Soc. A 456, 2059, 2000)."""
+    rng = np.random.default_rng(seed)
+    direction, phase = rng.uniform(0.0, 2.0 * math.pi, (2, waves))
+    k = 2.0 * math.pi / wavelength
+    x = np.arange(n, dtype=float)
+    values = np.zeros((n, n), dtype=complex)
+    for d, p in zip(direction, phase):
+        values += np.exp(1j * (k * math.cos(d) * x[:, None] + p)) * np.exp(
+            1j * k * math.sin(d) * x[None, :])
+    return values / math.sqrt(waves)
+
+
+SPECKLE_GRID = GridSpec((192, 192, 1), (1.0, 1.0, 1.0), (-96.0, -80.0, 0.5))
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_find_zeros_equals_the_whole_slice_scan_on_a_dense_random_wave(components):
+    # hundreds of vortices; two independent waves have no joint zeros, so every
+    # disclination record is one the REL_ZERO filter lets through
+    comps = [random_wave(192, seed) for seed in range(components)]
+    kind = "dislocation" if components == 1 else "disclination"
+    records = _find_zeros(comps, SPECKLE_GRID, 0, kind)
+    assert records == whole_slice_find_zeros(comps, SPECKLE_GRID, 0, kind)
+    assert len(records) > (500 if components == 1 else 0)
+
+
+def test_records_in_a_grid_rectangle_sum_to_its_winding_on_a_dense_random_wave():
+    values = random_wave(192, 0)
+    field = ComplexScalarField(SPECKLE_GRID, 0.0, values[:, :, None])
+    records = _find_zeros([values], SPECKLE_GRID, 0, "dislocation")
+    xs, ys = SPECKLE_GRID.axis_coords(0), SPECKLE_GRID.axis_coords(1)
+    rng = np.random.default_rng(3)
+    boxes = [(0, 191, 0, 191)] + [(i, i + w, j, j + h) for (i, j), (w, h) in
+                                  zip(rng.integers(0, 120, (6, 2)), rng.integers(1, 72, (6, 2)))]
+    for i0, i1, j0, j1 in boxes:
+        # every boundary node once, counterclockwise, so the loop reads the node values
+        border = ([(xs[i], ys[j0]) for i in range(i0, i1)]
+                  + [(xs[i1], ys[j]) for j in range(j0, j1)]
+                  + [(xs[i], ys[j1]) for i in range(i1, i0, -1)]
+                  + [(xs[i0], ys[j]) for j in range(j1, j0, -1)])
+        inside = sum(r.index for r in records
+                     if xs[i0] < r.position[0] < xs[i1] and ys[j0] < r.position[1] < ys[j1])
+        assert inside == phase_winding(field, LoopPath(border + border[:1], z=0.5))

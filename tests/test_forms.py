@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -322,6 +323,37 @@ def test_parametric_cycle_validation():
                         lambda s: (np.ones_like(s), np.zeros_like(s)), samples=64)
     with pytest.raises(ValueError):
         ParametricCycle.circle(samples=8)
+
+
+def test_parametric_cycle_closure_scales_with_the_curve():
+    # the start point is near the origin, but the curve is 2e4 wide
+    cycle = ParametricCycle.circle(cx=-1e4, radius=1e4)
+    # -y dx + x dy integrates to twice the enclosed area
+    assert period_integral(lambda x, y: -y, lambda x, y: x, cycle) == pytest.approx(
+        2.0 * math.pi * 1e8, rel=1e-12)
+    with pytest.raises(ValueError, match="cycle must close"):
+        ParametricCycle(lambda s: (1e4 * np.cos(math.pi * s), 1e4 * np.sin(math.pi * s)),
+                        lambda s: (np.zeros_like(s), np.zeros_like(s)))  # half a circle
+
+
+def test_ws_integral_of_a_wide_orbit_that_starts_near_the_origin():
+    # the orbit is 7118 wide and starts at (0, 0.045)
+    assert ws_integral(1.0, 1e-3, 1e-3) == pytest.approx(1e3, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("energy, frequency, mass", [
+    (1e-300, 1e-300, 1e150),  # 2*energy/mass underflows to 0
+    (1e-150, 1e-300, 1e-300),  # 2*mass*energy underflows to 0
+    (1e-20, 1e-20, 1e300),  # 2*energy/mass is subnormal
+    (1.0, 1e-300, 1e-300),  # the amplitude q overflows
+    (1e300, 1e-20, 1.0),  # 2*energy/frequency overflows
+    (1e-300, 1e150, 1.0),  # 2*energy/frequency underflows
+])
+def test_ws_integral_rejects_amplitudes_out_of_float_range(energy, frequency, mass):
+    with pytest.raises(ValueError, match=re.escape(
+            f"energy {energy!r}, frequency {frequency!r} and mass {mass!r} put the orbit's")):
+        ws_integral(energy, frequency, mass)
 
 
 def test_ws_integral_matches_ellipse_area():

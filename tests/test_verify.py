@@ -382,6 +382,21 @@ def test_wave_kernel_matches_dense_reference(dims, spacing, kind, t):
                                                 abs=1e-300)
 
 
+# With 3 or 4 x planes the x interior is the whole axis, and a 130 x 130 cross-section
+# fills BLOCK_BYTES, so each block stencils one plane: the blocks after the first hold
+# an x edge node at a nonzero offset into the slab.
+@pytest.mark.parametrize("nx", [3, 4])
+def test_wave_kernel_matches_dense_reference_in_one_plane_blocks(nx):
+    assert verify.BLOCK_BYTES // (16 * 126 * 130) == 1  # 126 interior rows of 130 nodes
+    model = MODEL_KINDS["disclination"]()
+    grid = GridSpec((nx, 130, 130), (0.3, 0.05, 0.04), origin=(-0.4, -3.2, -2.6))
+    region = interior_slices(grid.dims)
+    mags = np.concatenate([np.abs(r[region]).ravel()
+                           for r in dense_wave_residual(model, grid, 0.2).values()])
+    assert walked_magnitudes(model, grid, 0.2).tobytes() == np.sort(mags).tobytes()
+    assert wave_residual(model, grid, 0.2).interior_max == mags.max()
+
+
 class _NaNAt(ScalarModel):
     """A plane wave that is NaN at one grid node."""
 
