@@ -22,10 +22,10 @@ omega, k = params.omega, params.k
 print(f"model: k={k}, omega={omega}, c={params.c}, a={params.a}, az={params.az}")
 
 # the azimuth beta equals -chi wherever the transverse field is nonzero
-pt = df.SpaceTimePoint(0.7, -0.4, 0.3, t=0.2)
-ax, ay, _, _ = model.components(pt.x, pt.y, pt.z, pt.t)
+x, y, z, t = 0.7, -0.4, 0.3, 0.2
+ax, ay, _, _ = model.components(x, y, z, t)
 beta = df.azimuth_beta(ax, ay)
-chi = df.phase_chi(params, pt)
+chi = df.phase_chi(params, x, y, z, t)
 print(f"\nazimuth check at one point: beta={beta:+.6f}, "
       f"-chi mod 2pi={float(df.wrap_angle(-chi)):+.6f}")
 

@@ -26,7 +26,6 @@ from .fields import (
     GridSpec,
     PotentialField,
     SamplingError,
-    SpaceTimePoint,
     curl,
     divergence,
     laplacian,

@@ -289,36 +289,33 @@ def find_disclinations(field: PotentialField, z_slice: int) -> list[DefectRecord
 
 
 def _circle_azimuths(model, thetas, z, t) -> np.ndarray:
-    """Azimuth of the real transverse vector on the unit circle at angles thetas."""
-    x = np.cos(thetas)
-    y = np.sin(thetas)
-    ax, ay, _, _ = model.components(x, y, z, t)
+    """Azimuth of the real transverse vector on the unit circle at angles thetas.
+
+    The raw ``np.arctan2`` (branch [-pi, pi], unlike ``azimuth_beta``): the
+    fits read only exp(i*beta) and wrapped differences, where the branch of
+    an exact -pi azimuth, which does occur on the circle, makes no difference.
+    """
+    ax, ay, _, _ = model.components(np.cos(thetas), np.sin(thetas), z, t)
     return np.arctan2(np.real(ay), np.real(ax))
 
 
-def _alignment_objective(model, thetas, beta_target, z_ref, t_ref, alphas):
-    """Mean squared wrapped mismatch of the rotated reference pattern, per alpha."""
-    th = thetas[None, :] - alphas[:, None]
-    beta_ref = _circle_azimuths(model, th, z_ref, t_ref)
-    d = wrap_angle(beta_ref + alphas[:, None] - beta_target[None, :])
-    return np.mean(d * d, axis=1)
-
-
-def _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref):
+def _fit_rotation_step(beta_ref, beta_target, rotated):
     """Best rigid-rotation angle mapping the reference pattern onto the target.
 
+    The patterns are sampled at the N_THETA circle angles; ``rotated(alphas)``
+    samples the reference at those angles minus each alpha, a row per alpha.
     Rotating a pattern by alpha multiplies the Fourier coefficient c_n of
     exp(i*beta(theta)) by exp(i*(1-n)*alpha), so the phase ratio of the
     dominant mode n != 1 of the two patterns fixes alpha up to the |1-n|
     candidates (arg(c'_n/c_n) + 2*pi*m)/(1-n). Each candidate is scored by
-    the mismatch of the rotated reference; the least residual wins, and
+    the rms wrapped mismatch of the rotated reference; the least wins, and
     ties (a pattern with an exact |1-n|-fold symmetry) go to the candidate
     closest to zero, which is unambiguous while per-step angles stay inside
     (-pi/|1-n|, pi/|1-n|). The n = 1 mode alone is invariant under
     rotation, so a pattern with no other mode above FIT_RESIDUAL_TOL raises
     RigidRotationFitError: its angle is unobservable.
     """
-    c_ref = np.fft.fft(np.exp(1j * _circle_azimuths(model, thetas, z_ref, t_ref)))
+    c_ref = np.fft.fft(np.exp(1j * beta_ref))
     c_tgt = np.fft.fft(np.exp(1j * beta_target))
     modes = np.rint(np.fft.fftfreq(N_THETA) * N_THETA).astype(int)
     weight = np.where(modes == 1, 0.0, np.abs(c_ref)) / N_THETA
@@ -329,7 +326,8 @@ def _fit_rotation_step(model, thetas, beta_target, z_ref, t_ref):
     turns = 1 - int(modes[i])
     phase = float(np.angle(c_tgt[i] * np.conj(c_ref[i])))
     alphas = wrap_angle((phase + TWO_PI * np.arange(abs(turns))) / turns)
-    g = _alignment_objective(model, thetas, beta_target, z_ref, t_ref, alphas)
+    d = wrap_angle(rotated(alphas) + alphas[:, None] - beta_target)
+    g = np.mean(d * d, axis=1)
     tied = np.flatnonzero(g <= g.min() + 1e-12)
     best = tied[np.argmin(np.abs(alphas[tied]))]
     return float(alphas[best]), math.sqrt(float(g[best]))
@@ -343,7 +341,8 @@ def _rotation_rate(model, s0, s1, rate, at, var):
     substeps small enough that each alignment angle stays well inside a
     quarter turn, and the per-step angles are accumulated, so rotations
     exceeding a half turn (e.g. over a full period) are tracked
-    unambiguously. Each pattern is sampled at N_THETA angles.
+    unambiguously. Each station's pattern is sampled once, at N_THETA
+    angles: it is the target of one substep and the reference of the next.
     """
     if s1 < s0:
         raise ValueError(f"{var}1 must not precede {var}0")
@@ -352,11 +351,11 @@ def _rotation_rate(model, s0, s1, rate, at, var):
     m = max(1, math.ceil(abs(rate) * (s1 - s0) / 2.0 / STEP_TARGET))
     stations = np.linspace(s0, s1, m + 1)
     thetas = TWO_PI * np.arange(N_THETA) / N_THETA
-    total = 0.0
-    worst = 0.0
-    for a, b in zip(stations[:-1], stations[1:]):
-        beta_target = _circle_azimuths(model, thetas, *at(b))
-        alpha, res = _fit_rotation_step(model, thetas, beta_target, *at(a))
+    betas = [_circle_azimuths(model, thetas, *at(s)) for s in stations]
+    total = worst = 0.0
+    for s, beta_ref, beta_target in zip(stations, betas, betas[1:]):
+        alpha, res = _fit_rotation_step(beta_ref, beta_target, lambda alphas: _circle_azimuths(
+            model, thetas - alphas[:, None], *at(s)))
         if res > FIT_RESIDUAL_TOL:
             raise RigidRotationFitError(
                 f"alignment residual {res:.3e} exceeds {FIT_RESIDUAL_TOL:.0e}"

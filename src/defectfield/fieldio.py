@@ -49,6 +49,7 @@ def save_field(field, manifest_path):
         arrays = (field.values,)
     else:
         raise TypeError(f"cannot save {type(field).__name__}")
+    data_path.unlink(missing_ok=True)  # a new file, not the old one rewritten in place
     with open(data_path, "wb") as out:
         for arr in arrays:
             # x fastest, as sampled arrays are: the component is one view and one

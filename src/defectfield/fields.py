@@ -106,22 +106,6 @@ class GridSpec:
         return cls(tuple(dims), tuple(spacing), tuple(origin))
 
 
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A point (x, y, z) at time t, with its cylindrical angle ``theta``."""
-
-    x: float
-    y: float
-    z: float = 0.0
-    t: float = 0.0
-
-    @property
-    def theta(self) -> float:
-        # branch convention (-pi, pi]; theta = 0 at r = 0
-        th = math.atan2(self.y, self.x)
-        return math.pi if th == -math.pi else th
-
-
 def _all_finite(values: np.ndarray) -> bool:
     """Whether an array holds no NaN and no +-inf.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpaceTimePoint, UnsupportedModelError, harmonic_factor
+from .fields import UnsupportedModelError, harmonic_factor
 
 
 class IndeterminateAzimuthError(ValueError):
@@ -61,9 +61,15 @@ class WaveParams:
         return cls(k=k, omega=k * c, c=c, a=a, az=az)
 
 
-def phase_chi(params: WaveParams, point: SpaceTimePoint) -> float:
-    """Combined phase theta + k*z - omega*t, not reduced modulo 2*pi."""
-    return point.theta + params.k * point.z - params.omega * point.t
+def _angle(y, x):
+    """arctan2 on the branch (-pi, pi]: -pi maps to pi, and (0, 0) gives 0."""
+    a = np.arctan2(y, x)
+    return np.where(a == -np.pi, np.pi, a)
+
+
+def phase_chi(params: WaveParams, x, y, z, t):
+    """Combined phase theta + k*z - omega*t, not reduced modulo 2*pi, at broadcast coordinates."""
+    return _angle(y, x) + params.k * z - params.omega * t
 
 
 def azimuth_beta(ax, ay):
@@ -72,8 +78,7 @@ def azimuth_beta(ax, ay):
     ry = np.real(ay)
     if np.any((rx == 0) & (ry == 0)):
         raise IndeterminateAzimuthError("real transverse vector is zero")
-    b = np.arctan2(ry, rx)
-    b = np.where(b == -np.pi, np.pi, b)
+    b = _angle(ry, rx)
     return float(b) if np.isscalar(ax) or np.ndim(ax) == 0 else b
 
 

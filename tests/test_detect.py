@@ -24,6 +24,7 @@ from defectfield import (
     tifold_index,
 )
 from defectfield.detect import (
+    STEP_TARGET,
     AmbiguousStepError,
     NearZeroOnLoopError,
     RigidRotationFitError,
@@ -178,6 +179,13 @@ def test_find_dislocations_single_charge():
     half = 2.0 - margin
     boundary = LoopPath.rectangle(-half, -half, half, half, per_side=64)
     assert phase_winding(field, boundary) == sum(int(r.index) for r in records)
+
+
+def test_find_dislocations_reports_a_plaquette_core_at_its_centre():
+    # nodes at -3.5, ..., 3.5: the axis is the centre of the plaquette at (-0.5, -0.5)
+    grid = GridSpec((8, 8, 1), (1.0, 1.0, 1.0), (-3.5, -3.5, 0.0))
+    records = find_dislocations(sample_scalar(DislocationModel(n=1), grid, 0.0), 0)
+    assert [r.position for r in records] == [(0.0, 0.0, 0.0)]
 
 
 def test_find_dislocations_pair_conserves_charge():
@@ -583,8 +591,9 @@ def test_fit_recovers_step_angle_for_higher_modes(n):
 
     def step(shape, alpha):
         model = azimuth_model(rotating(shape, lambda t: alpha * t))
-        target = _circle_azimuths(model, thetas, 0.0, 1.0)
-        return _fit_rotation_step(model, thetas, target, 0.0, 0.0)
+        ref, target = (_circle_azimuths(model, thetas, 0.0, t) for t in (0.0, 1.0))
+        return _fit_rotation_step(ref, target, lambda alphas: _circle_azimuths(
+            model, thetas - alphas[:, None], 0.0, 0.0))
 
     # a pure mode is (1 - n)-fold symmetric: the candidate closest to zero wins
     inside = 0.9 * math.pi / (1 - n)
@@ -606,3 +615,20 @@ def test_rotation_rate_of_threefold_pattern():
     model = azimuth_model(rotating(lambda th: -2.0 * th, lambda t: 0.5 * omega * t))
     rate = pattern_rotation_rate(model, 0.0, TWO_PI / omega)
     assert rate / omega == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_fit_of_m_substeps_evaluates_the_model_2m_plus_1_times(m):
+    # the m + 1 station patterns once each, plus one scoring call per substep
+    class Counting(DisclinationModel):
+        calls = 0
+
+        def components(self, x, y, z, t):
+            Counting.calls += 1
+            return super().components(x, y, z, t)
+
+    model = Counting(WaveParams.with_dispersion(k=1.3, c=0.7))
+    t1 = 0.999 * m * 2.0 * STEP_TARGET / model.params.omega  # m substeps
+    rate = pattern_rotation_rate(model, 0.0, t1)
+    assert rate == pytest.approx(model.params.omega / 2, abs=1e-9)
+    assert Counting.calls == 2 * m + 1

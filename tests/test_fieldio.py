@@ -139,6 +139,18 @@ def test_data_path_may_leave_the_manifest_directory(tmp_path):
     assert np.array_equal(load_field(manifest).values, field.values)
 
 
+def test_save_field_over_an_existing_binary_writes_a_new_file(tmp_path):
+    # a reader of the old binary keeps its bytes: the save does not rewrite it in place
+    old_manifest, old_data = save_field(_sampled("potential", (8, 8, 4)), tmp_path / "f.json")
+    old_bytes = old_data.read_bytes()
+    field = _sampled("scalar", (9, 9, 3))
+    with open(old_data, "rb") as reader:
+        manifest, data = save_field(field, old_manifest)
+        assert reader.read() == old_bytes
+    assert data == old_data and data.stat().st_size == field.grid.node_count * 16
+    np.testing.assert_array_equal(load_field(manifest).values, field.values)
+
+
 def test_save_field_refuses_a_manifest_path_ending_in_bin(tmp_path):
     # the binary is the manifest path with suffix .bin: here the manifest itself
     with pytest.raises(ValueError, match=re.escape(repr(str(tmp_path / "f.bin")))):

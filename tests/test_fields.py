@@ -15,7 +15,6 @@ from defectfield import (
     ProductSineModel,
     PureGaugeModel,
     SamplingError,
-    SpaceTimePoint,
     WaveParams,
     curl,
     divergence,
@@ -47,14 +46,6 @@ def test_gridspec_centered_and_refined():
     assert r.spacing[0] == g.spacing[0] / 2
     # refined nodes are nested
     assert np.allclose(r.axis_coords(0)[::2], g.axis_coords(0))
-
-
-def test_spacetime_point_cylindrical():
-    p = SpaceTimePoint(1.0, 1.0, 0.0)
-    assert p.theta == pytest.approx(math.pi / 4)
-    assert SpaceTimePoint(0.0, 0.0).theta == 0.0
-    # branch is (-pi, pi]
-    assert SpaceTimePoint(-1.0, -0.0).theta == math.pi
 
 
 def test_sample_constant_field():

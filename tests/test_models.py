@@ -12,7 +12,6 @@ from defectfield import (
     ProductSineModel,
     PureGaugeModel,
     ScalarModel,
-    SpaceTimePoint,
     UnsupportedModelError,
     WaveParams,
     azimuth_beta,
@@ -39,12 +38,27 @@ def test_wave_params_defaults_and_dispersion():
 
 def test_phase_chi_examples():
     p = WaveParams(k=1.0, omega=2.0)
-    assert phase_chi(p, SpaceTimePoint(1.0, 0.0, 0.0, 0.0)) == 0.0
+    assert phase_chi(p, 1.0, 0.0, 0.0, 0.0) == 0.0
     # theta=pi/2, k=1, z=pi/2, omega=2, t=pi/2 -> pi/2 + pi/2 - pi = 0
-    assert phase_chi(p, SpaceTimePoint(0.0, 1.0, math.pi / 2, math.pi / 2)) == pytest.approx(0.0)
+    assert phase_chi(p, 0.0, 1.0, math.pi / 2, math.pi / 2) == pytest.approx(0.0)
     # theta=0, z equal to one wavelength: k*lambda = 2*pi (not reduced)
     q = WaveParams(k=2.0, omega=1.0)
-    assert phase_chi(q, SpaceTimePoint(1.0, 0.0, math.pi, 0.0)) == pytest.approx(TWO_PI)
+    assert phase_chi(q, 1.0, 0.0, math.pi, 0.0) == pytest.approx(TWO_PI)
+    # theta is on the branch (-pi, pi], and 0 at the origin
+    assert phase_chi(p, 1.0, 1.0, 0.0, 0.0) == pytest.approx(math.pi / 4)
+    assert phase_chi(p, 0.0, 0.0, 0.0, 0.0) == 0.0
+    assert phase_chi(p, -1.0, -0.0, 0.0, 0.0) == math.pi
+
+
+def test_phase_chi_on_arrays_equals_its_point_values():
+    p = WaveParams(k=1.3, omega=0.7)
+    x = np.array([1.0, -1.0, 0.0, -1.0, 0.7])[:, None]
+    y = np.array([1.0, -0.0, 0.0, 0.0, -0.4])[None, :]
+    z, t = np.linspace(-2.0, 2.0, 3)[:, None, None], 0.2
+    chi = phase_chi(p, x, y, z, t)
+    assert chi.shape == (3, 5, 5)
+    for (k, i, j), value in np.ndenumerate(chi):
+        assert value == phase_chi(p, x[i, 0], y[0, j], z[k, 0, 0], t)
 
 
 def test_disclination_components_examples():
@@ -87,9 +101,8 @@ def test_dislocation_matches_polar_form():
         model = DislocationModel(n=n, k=0.8, omega=1.1, a=0.6)
         for _ in range(10):
             x, y, z, t = rng.uniform(-2, 2, size=4)
-            pt = SpaceTimePoint(x, y, z, t)
             expected = 0.6 * math.hypot(x, y) ** abs(n) * np.exp(
-                1j * (n * pt.theta + 0.8 * z - 1.1 * t))
+                1j * (n * math.atan2(y, x) + 0.8 * z - 1.1 * t))
             assert model.value(x, y, z, t) == pytest.approx(expected, abs=1e-12)
 
 
@@ -109,10 +122,9 @@ def test_azimuth_equals_minus_chi_mod_2pi():
         if math.hypot(x, y) < 1e-3:
             continue
         z, t = rng.uniform(-3, 3, size=2)
-        pt = SpaceTimePoint(x, y, z, t)
-        ax, ay, _, _ = model.components(pt.x, pt.y, pt.z, t)
+        ax, ay, _, _ = model.components(x, y, z, t)
         beta = azimuth_beta(ax, ay)
-        chi = phase_chi(model.params, pt)
+        chi = phase_chi(model.params, x, y, z, t)
         assert abs(wrap_angle(beta + chi)) < 1e-12
 
 
@@ -123,31 +135,31 @@ def test_z0_phase_condition():
     thetas = np.linspace(-math.pi + 1e-9, math.pi, 37)
     for t in np.linspace(0.0, TWO_PI / omega, 9, endpoint=False):
         for theta in thetas:
-            pt = SpaceTimePoint(math.cos(theta), math.sin(theta), 0.0, t)
-            ax, ay, _, _ = model.components(pt.x, pt.y, pt.z, t)
+            x, y = math.cos(theta), math.sin(theta)
+            ax, ay, _, _ = model.components(x, y, 0.0, t)
             beta = azimuth_beta(ax, ay)
-            lhs = beta - pt.theta
-            rhs = -2.0 * (pt.theta - omega * t / 2.0)
+            lhs = beta - math.atan2(y, x)
+            rhs = -2.0 * (math.atan2(y, x) - omega * t / 2.0)
             assert abs(wrap_angle(lhs - rhs)) < 1e-9
 
 
 def test_pure_gauge_components_examples():
-    pt = SpaceTimePoint(0.2, -0.4, 0.6)
-    assert PureGaugeModel(ConstantScalar(3.0 + 1.0j)).components(pt.x, pt.y, pt.z, 0.5) == (0, 0, 0, 0)
+    x, y, z = 0.2, -0.4, 0.6
+    assert PureGaugeModel(ConstantScalar(3.0 + 1.0j)).components(x, y, z, 0.5) == (0, 0, 0, 0)
 
     # psi = e^{i(kz - wt)}, k=omega=c=1: A = (0, 0, i psi), Phi = i psi
     psi = PlaneWaveModel(kvec=(0.0, 0.0, 1.0), omega=1.0)
     t = 0.25
-    ax, ay, az, phi = PureGaugeModel(psi).components(pt.x, pt.y, pt.z, t)
-    expected = 1j * np.exp(1j * (pt.z - t))
+    ax, ay, az, phi = PureGaugeModel(psi).components(x, y, z, t)
+    expected = 1j * np.exp(1j * (z - t))
     assert ax == 0.0 and ay == 0.0
     assert az == pytest.approx(expected, abs=1e-15)
     assert phi == pytest.approx(expected, abs=1e-15)
 
     # psi = (x+iy) e^{i(kz - wt)}: Ax = e^{i(kz-wt)}, Ay = i e^{i(kz-wt)}
     vortex = DislocationModel(n=1, k=1.0, omega=1.0, a=1.0)
-    ax, ay, _, _ = PureGaugeModel(vortex).components(pt.x, pt.y, pt.z, t)
-    carrier = np.exp(1j * (pt.z - t))
+    ax, ay, _, _ = PureGaugeModel(vortex).components(x, y, z, t)
+    carrier = np.exp(1j * (z - t))
     assert ax == pytest.approx(carrier, abs=1e-15)
     assert ay == pytest.approx(1j * carrier, abs=1e-15)
 

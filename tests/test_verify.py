@@ -215,6 +215,14 @@ def test_lorentz_residual_matched_step_of_a_model_without_params():
     assert rep.interior_max <= 8 * np.finfo(float).eps / dz
 
 
+def test_lorentz_residual_of_a_static_disclination_is_the_divergence():
+    # omega = 0 takes the dz / c step, not k dz / omega; its time term is zero
+    f = sample_potential(disclination(), box_grid(n=9), 0.0)
+    static = DisclinationModel(WaveParams(k=1.0, omega=0.0))
+    rep = lorentz_residual(f, static)
+    assert rep.interior_max == interior_max(f.grid, [divergence(f).values])
+
+
 def test_lorentz_residual_zero_field():
     model = _ConstantPotential()
     grid = GridSpec.centered((2.0, 2.0, 2.0), (7, 7, 7))
