@@ -165,14 +165,23 @@ def _row_sums(lower, signs, values) -> np.ndarray:
     return sum((signs * values[lower]).T, np.zeros(len(lower)))
 
 
-def chain_rows(cx: CubicalComplex, degree: int, cells):
-    """The p-cells' ``lower_cells`` rows, renumbered over the lower cells they touch.
+def chain_rows(cx: CubicalComplex, degree: int, cells, counts=None):
+    """The chains' ``lower_cells`` rows, renumbered over the lower cells each chain touches.
 
-    Returns (touched, rows, signs), ``touched`` ascending.
+    ``cells`` holds the chains one after another, ``counts`` their sizes (one
+    chain by default). Returns (touched, owner, rows, signs): each chain's
+    touched cells ascending, their chains, and the rows as indices into
+    ``touched``; sorting on (chain, cell) needs no key that could overflow.
     """
     lower, signs = cx.lower_cells(degree, cells)
-    touched = np.unique(lower)
-    return touched, np.searchsorted(touched, lower), signs
+    counts = [len(lower)] if counts is None else counts
+    chain = np.repeat(np.arange(len(counts)), np.asarray(counts, dtype=np.int64) * lower.shape[1])
+    order = np.lexsort((lower.ravel(), chain))
+    low, chain = lower.ravel()[order], chain[order]
+    new = (np.diff(low, prepend=-1) != 0) | (np.diff(chain, prepend=-1) != 0)
+    rows = np.empty_like(order)
+    rows[order] = np.cumsum(new) - 1
+    return low[new], chain[new], rows.reshape(lower.shape), signs
 
 
 def _boundary_sums(rows, signs, coeffs, n: int) -> np.ndarray:
@@ -182,17 +191,23 @@ def _boundary_sums(rows, signs, coeffs, n: int) -> np.ndarray:
     return sums
 
 
-def stokes_on_rows(rows, signs, coeffs, values) -> float:
-    """(d w)(c) - w(boundary c) from a chain's ``chain_rows`` and w on its touched cells.
+def stokes_on_rows(rows, signs, coeffs, values, owner, counts=None) -> np.ndarray:
+    """(d w)(c) - w(boundary c) of each chain, from ``chain_rows`` and w on the touched cells.
 
-    ``coeffs`` follow the rows. d w is summed per row as ``coboundary`` sums it
-    and w(boundary c) in ascending cell order as ``evaluate`` takes it, so
-    the bits are those of the whole-complex difference.
+    ``coeffs`` follow the rows. Row and boundary sums are taken for all chains
+    at once, d w per row as ``coboundary`` sums it; each chain's (d w)(c) and
+    w(boundary c), in ascending cell order as ``evaluate`` takes it, is one
+    ``@``, so every residual has the bits of its chain's whole-complex difference.
     """
+    counts = [len(rows)] if counts is None else counts
     sums = _boundary_sums(rows, signs, coeffs, len(values))
     keep = sums != 0
-    around = float(values[keep] @ sums[keep].astype(float))
-    return float(_row_sums(rows, signs, values) @ np.asarray(coeffs, dtype=float)) - around
+    d_w, coeffs = _row_sums(rows, signs, values), np.asarray(coeffs, dtype=float)
+    around, weights = values[keep], sums[keep].astype(float)
+    row_at = np.cumsum([0, *counts]).tolist()
+    kept_at = np.cumsum([0, *np.bincount(owner[keep], minlength=len(counts))]).tolist()
+    return np.array([d_w[r:r_end] @ coeffs[r:r_end] - around[k:k_end] @ weights[k:k_end]
+                     for r, r_end, k, k_end in zip(row_at, row_at[1:], kept_at, kept_at[1:])])
 
 
 def boundary(chain: Chain) -> Chain:
@@ -201,7 +216,7 @@ def boundary(chain: Chain) -> Chain:
     Sums the signed rows of the chain's own cells (``lower_cells``) per
     lower cell and keeps the nonzero sums, in ascending cell order.
     """
-    touched, rows, signs = chain_rows(chain.cx, chain.degree, list(chain.coeffs))
+    touched, _, rows, signs = chain_rows(chain.cx, chain.degree, list(chain.coeffs))
     sums = _boundary_sums(rows, signs, list(chain.coeffs.values()), touched.size)
     keep = sums != 0
     return Chain(chain.cx, chain.degree - 1, dict(zip(touched[keep].tolist(), sums[keep].tolist())))
@@ -233,12 +248,13 @@ def stokes_residual(form: DiscreteForm, chain: Chain) -> float:
     the first term equals ``evaluate(coboundary(form), chain)`` bit for bit
     without computing d form on the whole complex.
     """
-    touched, rows, signs = chain_rows(chain.cx, chain.degree, list(chain.coeffs))
+    touched, owner, rows, signs = chain_rows(chain.cx, chain.degree, list(chain.coeffs))
     if form.degree != chain.degree - 1:
         raise DegreeError(f"degree mismatch: form {form.degree}, chain boundary {chain.degree - 1}")
     if form.cx is not chain.cx:
         raise ValueError("form and chain live on different complexes")
-    return stokes_on_rows(rows, signs, list(chain.coeffs.values()), form.values[touched])
+    coeffs = list(chain.coeffs.values())
+    return float(stokes_on_rows(rows, signs, coeffs, form.values[touched], owner)[0])
 
 
 def form_from_vertex_function(cx: CubicalComplex, f) -> DiscreteForm:

@@ -274,22 +274,29 @@ def test_forms_demos(capsys):
 
 
 def _stokes_replay(nodes: int, pairs: int, seed: int) -> float:
-    """The stokes demo's worst residual, drawn from the same stream on a whole-complex form."""
+    """The stokes demo's worst residual, drawn from the same stream on a whole-complex form.
+
+    The demo draws every degree, then every cell, then every coefficient, then one
+    normal sample per touched lower cell, chain by chain, ascending within a chain.
+    """
     rng = np.random.default_rng(seed)
     cx = forms.CubicalComplex(nodes, nodes)
-    worst = 0.0
-    for _ in range(pairs):
-        degree = int(rng.integers(0, 2))
-        cells = rng.integers(0, cx.n_cells(degree + 1), size=5)
-        coeffs = {int(c): int(v) for c, v in
-                  zip(cells, rng.integers(-3, 4, size=5)) if v != 0}
-        chain = forms.Chain(cx, degree + 1, coeffs)
-        touched = np.unique(cx.lower_cells(degree + 1, list(coeffs))[0])
-        drawn = rng.standard_normal(touched.size)
-        values = np.zeros(cx.n_cells(degree))
-        values[touched] = drawn
-        form = forms.DiscreteForm(cx, degree, values)
-        scale = float(np.abs(drawn).max(initial=1.0))
+    degrees = rng.integers(0, 2, size=pairs) + 1
+    high = np.array([cx.n_cells(int(degree)) for degree in degrees])
+    cells = rng.integers(0, high[:, None], size=(pairs, 5))
+    values = rng.integers(-3, 4, size=(pairs, 5))
+    chains = [forms.Chain(cx, int(degree), {int(c): int(v) for c, v in zip(row, coefs) if v != 0})
+              for degree, row, coefs in zip(degrees, cells, values)]
+    touched = [np.unique(cx.lower_cells(chain.degree, list(chain.coeffs))[0]) for chain in chains]
+    drawn = rng.standard_normal(sum(t.size for t in touched))
+    worst, start = 0.0, 0
+    for chain, cells in zip(chains, touched):
+        mine = drawn[start:start + cells.size]
+        start += cells.size
+        values = np.zeros(cx.n_cells(chain.degree - 1))
+        values[cells] = mine
+        form = forms.DiscreteForm(cx, chain.degree - 1, values)
+        scale = float(np.abs(mine).max(initial=1.0))
         worst = max(worst, abs(forms.stokes_residual(form, chain)) / scale)
     return worst
 
@@ -364,6 +371,27 @@ def test_forms_ws_wide_orbit_and_amplitudes_out_of_range(capsys):
                  "--mass", "1e-300"]) == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: energy 1e-150, frequency 1e-300 and mass 1e-300 "
                                    "put the orbit's amplitudes out of the normal float range\n")
+
+
+def test_forms_ws_and_period_verdicts_scale_with_the_expected_value(capsys):
+    # E / nu = 1e20 reads 1.0000000000000002e+20: one ulp off, within the relative bound
+    assert main(["forms", "--demo", "ws", "--energy", "1", "--nu", "1e-20",
+                 "--mass", "1"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True and report["value"] != report["expected"]
+    assert cli._agrees(1e20, 1e20) and not cli._agrees(1e20 * (1 + 1e-13), 1e20)
+    # at expected 1 the bound is the absolute 1e-9: v - 1 is exact for v in [1, 2]
+    ulp = math.ulp(1.0)
+    edge = 1.0 + math.floor(1e-9 / ulp) * ulp
+    assert cli._agrees(edge, 1.0) and not cli._agrees(math.nextafter(edge, 2.0), 1.0)
+
+
+def test_forms_stokes_groups_chains_whose_cell_tags_would_overflow(capsys):
+    # chain * n_cells + cell would pass 2**63 here: about 2e16 edges and 1000 chains
+    assert main(["forms", "--demo", "stokes", "--nodes", "100000000", "--pairs", "1000",
+                 "--seed", "1"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True and 0.0 < report["max_relative_residual"] <= 1e-12
 
 
 def test_ledger_command(capsys):

@@ -19,7 +19,7 @@ from defectfield import (
     stokes_residual,
     winding_one_form,
 )
-from defectfield.forms import hole_cycle
+from defectfield.forms import chain_rows, hole_cycle, stokes_on_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -268,3 +268,75 @@ def test_winding_one_form_is_the_wrapped_incidence_product(cx, x0, y0):
     got = winding_one_form(cx, center=(x0, y0)).values
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def chain_batches(draw):
+    """A complex and chains of both degrees on it, summed from single cells.
+
+    Chains may be empty or cancel to empty, and a degree may have none at all;
+    cells repeat within a chain before summing and across chains, and a chain
+    may come twice, so chains share lower cells.
+    """
+    cx = draw(any_complexes())
+    chains = []
+    for degree in (1, 2):
+        for _ in range(draw(st.integers(0, 4))):
+            coeffs = {}
+            for cell, coef in draw(st.lists(st.tuples(st.integers(0, cx.n_cells(degree) - 1),
+                                                      st.integers(-3, 3)), max_size=8)):
+                coeffs[cell] = coeffs.get(cell, 0) + coef
+            chains.append(Chain(cx, degree, coeffs))
+            if draw(st.booleans()):
+                chains.append(chains[-1])
+    return cx, draw(st.permutations(chains))
+
+
+# no edge chains; an empty face chain between two that share face 1
+SQUARE = CubicalComplex(3, 2)
+
+
+@SETTINGS
+@hypothesis.example((SQUARE, [Chain(SQUARE, 2, {1: 2}), Chain(SQUARE, 2, {}),
+                              Chain(SQUARE, 2, {1: 2, 0: -1})]), 0, 0.0)
+@hypothesis.given(chain_batches(), st.integers(0, 2 ** 32 - 1), st.floats(-8, 8))
+def test_batched_stokes_residuals_are_each_chains_own(batch, seed, exponent):
+    cx, chains = batch
+    rng = np.random.default_rng(seed)
+    for degree in (1, 2):
+        values = rng.standard_normal(cx.n_cells(degree - 1)) * 10.0 ** exponent
+        values[rng.random(values.size) < 0.2] = 0.0
+        values[rng.random(values.size) < 0.1] = -0.0
+        form = DiscreteForm(cx, degree - 1, values)
+        mine = [chain for chain in chains if chain.degree == degree]
+        cells = [cell for chain in mine for cell in chain.coeffs]
+        counts = [len(chain.coeffs) for chain in mine]
+        touched, owner, rows, signs = chain_rows(cx, degree, cells, counts)
+        assert np.array_equal(touched[rows], cx.lower_cells(degree, cells)[0].reshape(rows.shape))
+        for k, chain in enumerate(mine):
+            lower = cx.lower_cells(degree, list(chain.coeffs))[0]
+            assert touched[owner == k].tolist() == np.unique(lower).tolist()
+        coeffs = [coef for chain in mine for coef in chain.coeffs.values()]
+        got = stokes_on_rows(rows, signs, coeffs, form.values[touched], owner, counts)
+        want = np.array([stokes_residual(form, chain) for chain in mine])
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_chain_rows_groups_chains_whose_cells_are_near_2e16():
+    # faces whose lower cells, edges, run to about 2e16: a tag chain * n_edges + edge
+    # would pass 2**63 at 500 chains
+    cx = CubicalComplex(10 ** 8, 10 ** 8)
+    top = cx.n_faces - 1
+    cells = np.array([[top - k, top - k - 1, top - cx.nx - k] for k in range(500)])
+    rng = np.random.default_rng(5)
+    coeffs = rng.integers(-3, 4, size=cells.shape)
+    counts = [3] * len(cells)
+    touched, owner, rows, signs = chain_rows(cx, 2, cells.ravel(), counts)
+    values = rng.standard_normal(touched.size)
+    got = stokes_on_rows(rows, signs, coeffs.ravel(), values, owner, counts)
+    for k in range(len(cells)):
+        alone, alone_owner, alone_rows, alone_signs = chain_rows(cx, 2, cells[k])
+        assert touched[owner == k].tolist() == alone.tolist()
+        assert got[k] == stokes_on_rows(alone_rows, alone_signs, coeffs[k], values[owner == k],
+                                        alone_owner)[0]
