@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import ComplexScalarField, GridSpec, PotentialField
+from .forms import _grid_d
 
 TOL_AMP = 1e-9  # amplitude floor of a winding loop; relative to the median in slice scans
 REL_ZERO = 0.75  # corner amplitude, relative to the median, below which components coincide
@@ -195,13 +196,10 @@ def phase_winding(field: ComplexScalarField, loop: LoopPath) -> int:
 
 
 def _plaquette_windings(values2d: np.ndarray) -> np.ndarray:
-    """Integer winding of every 2x2 plaquette of the first two axes (CCW about +z)."""
+    """Integer winding of every 2x2 plaquette of the first two axes (CCW about +z): the raw
+    steps d(phase) telescope to zero around it, so it is d of their wrap counts."""
     phase = np.angle(values2d + 0.0)  # + 0.0 clears signed zeros: angle(-0.0) is pi
-    # The raw steps around a plaquette telescope to zero: its winding is the
-    # signed count of the shifts of its wrapped steps, each step taken along
-    # +x or +y, as np.diff takes it, so an exact +-pi step counts one way.
-    sx, sy = (_wraps(d) for d in (np.diff(phase, axis=0), np.diff(phase, axis=1)))
-    return (sx[:, :-1] + sy[1:, :] - sx[:, 1:] - sy[:-1, :]).astype(int)
+    return _grid_d(*(_wraps(d) for d in _grid_d(phase)))[0].astype(int)
 
 
 def _plaquette_centroid(grid: GridSpec, i, j, k: int):

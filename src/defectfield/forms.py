@@ -1,16 +1,16 @@
 """Discrete exterior calculus on 2D cubical grids, and period integrals.
 
-Chains carry integer coefficients on oriented cells (vertices, axis
-aligned edges, unit faces); cochains (forms) carry one real value per
-cell, edge values representing the integral of a 1-form along the edge.
-One incidence rule (``CubicalComplex.lower_cells``) gives the coboundary,
-as signed sums over each cell's lower cells, and, on a chain's own cells,
-its boundary: the discrete Stokes identity holds exactly, at a cost set by
-the chain. Period integrals of continuous 1-forms over smooth closed curves
-are one periodic sum at twice the sample count, the mean of its trapezoid
-and midpoint halves, whose difference is the error estimate; an
-edge-integrated angular form on a complex with a rectangular hole witnesses
-closed-but-not-exact cohomology.
+Chains carry integer coefficients on oriented cells (vertices, axis aligned
+edges, unit faces); cochains (forms) carry one real value per cell, edge
+values representing the integral of a 1-form along the edge. The coboundary
+is one difference rule on grid arrays, shared with ``detect``; it adds each
+cell from 0 in the order of its lower cells (``CubicalComplex.lower_cells``),
+which give a chain's boundary from its own cells: the discrete Stokes
+identity holds exactly, at a cost set by the chain. Period integrals of
+continuous 1-forms over smooth closed curves are one periodic sum at twice
+the sample count, the mean of its trapezoid and midpoint halves, whose
+difference is the error estimate; an edge-integrated angular form on a
+complex with a rectangular hole witnesses closed-but-not-exact cohomology.
 """
 
 from __future__ import annotations
@@ -156,15 +156,6 @@ class DiscreteForm:
         object.__setattr__(self, "values", vals)
 
 
-def _row_sums(lower, signs, values) -> np.ndarray:
-    """Each ``lower_cells`` row's signed sum of ``values``, d·values on those rows.
-
-    A row is added from 0.0 in ascending lower-cell order, so a cell's sum is
-    the same bits whether it is taken over the whole complex or a chain.
-    """
-    return sum((signs * values[lower]).T, np.zeros(len(lower)))
-
-
 def chain_rows(cx: CubicalComplex, degree: int, cells, counts=None):
     """The chains' ``lower_cells`` rows, renumbered over the lower cells each chain touches.
 
@@ -202,33 +193,44 @@ def stokes_on_rows(rows, signs, coeffs, values, owner, counts=None) -> np.ndarra
     counts = [len(rows)] if counts is None else counts
     sums = _boundary_sums(rows, signs, coeffs, len(values))
     keep = sums != 0
-    d_w, coeffs = _row_sums(rows, signs, values), np.asarray(coeffs, dtype=float)
-    around, weights = values[keep], sums[keep].astype(float)
+    d_w = sum((signs * values[rows]).T, np.zeros(len(rows)))  # each row from 0, as _grid_d
+    coeffs, around, weights = np.asarray(coeffs, float), values[keep], sums[keep].astype(float)
     row_at = np.cumsum([0, *counts]).tolist()
     kept_at = np.cumsum([0, *np.bincount(owner[keep], minlength=len(counts))]).tolist()
     return np.array([d_w[r:r_end] @ coeffs[r:r_end] - around[k:k_end] @ weights[k:k_end]
                      for r, r_end, k, k_end in zip(row_at, row_at[1:], kept_at, kept_at[1:])])
 
 
-def boundary(chain: Chain) -> Chain:
-    """Oriented boundary; a face maps to its counterclockwise 4-edge loop.
-
-    Sums the signed rows of the chain's own cells (``lower_cells``) per
-    lower cell and keeps the nonzero sums, in ascending cell order.
-    """
-    touched, _, rows, signs = chain_rows(chain.cx, chain.degree, list(chain.coeffs))
-    sums = _boundary_sums(rows, signs, list(chain.coeffs.values()), touched.size)
+def _boundary(cx: CubicalComplex, degree: int, cells, coeffs) -> Chain:
+    """``boundary`` of these cells and coefficients: their signed ``lower_cells`` rows summed."""
+    touched, _, rows, signs = chain_rows(cx, degree, cells)
+    sums = _boundary_sums(rows, signs, coeffs, touched.size)
     keep = sums != 0
-    return Chain(chain.cx, chain.degree - 1, dict(zip(touched[keep].tolist(), sums[keep].tolist())))
+    return Chain(cx, degree - 1, dict(zip(touched[keep].tolist(), sums[keep].tolist())))
+
+
+def boundary(chain: Chain) -> Chain:
+    """Oriented boundary, nonzero sums only; a face maps to its counterclockwise 4-edge loop."""
+    return _boundary(chain.cx, chain.degree, list(chain.coeffs), list(chain.coeffs.values()))
+
+
+def _grid_d(a, b=None) -> list:
+    """The grid's d on arrays indexed [i, j, ...] (x on axis 0; trailing axes pass through):
+    node values a give [x-edges, y-edges] as (0 - tail) + head, x- and y-edge values a and b
+    give [faces] as (((0 + bottom) - top) - left) + right, added in ``lower_cells`` order."""
+    if b is None:
+        return [(0 - a[:-1]) + a[1:], (0 - a[:, :-1]) + a[:, 1:]]
+    return [(((0 + a[:, :-1]) - a[:, 1:]) - b[:-1]) + b[1:]]
 
 
 def coboundary(form: DiscreteForm) -> DiscreteForm:
-    """Exterior derivative, defined by (d w)(c) = w(boundary(c))."""
+    """Exterior derivative, (d w)(c) = w(boundary(c)): ``_grid_d`` of [i, j] views of w."""
     if form.degree == 2:
         raise DegreeError("2-forms have no coboundary on a planar complex")
-    cx, degree = form.cx, form.degree + 1
-    rows = cx.lower_cells(degree, np.arange(cx.n_cells(degree)))
-    return DiscreteForm(cx, degree, _row_sums(*rows, form.values))
+    cx, v, n = form.cx, form.values, form.cx.n_xedges  # x fastest: [j, i] arrays, transposed
+    grid = ([v.reshape(cx.ny, cx.nx).T] if form.degree == 0 else
+            [v[:n].reshape(cx.ny, cx.nx - 1).T, v[n:].reshape(cx.ny - 1, cx.nx).T])
+    return DiscreteForm(cx, form.degree + 1, np.concatenate([a.T.ravel() for a in _grid_d(*grid)]))
 
 
 def evaluate(form: DiscreteForm, chain: Chain) -> float:
@@ -293,11 +295,10 @@ def annulus_complex(nx: int, ny: int, hole, spacing=(1.0, 1.0),
 
 def hole_cycle(cx: CubicalComplex) -> Chain:
     """Counterclockwise edge cycle around the masked faces."""
-    present = cx.face_present
-    if present.all():
+    faces = np.flatnonzero(~cx.face_present)
+    if not faces.size:
         raise NoCycleError("complex has no hole, so no encircling cycle exists")
-    faces = Chain(cx, 2, {int(f): 1 for f in np.nonzero(~present)[0]})
-    return boundary(faces)
+    return _boundary(cx, 2, faces, np.ones_like(faces))
 
 
 def closed_not_exact_witness(form: DiscreteForm):
@@ -344,10 +345,12 @@ class ParametricCycle:
         w = TWO_PI * turns
 
         def curve(s):
-            return cx + radius * np.cos(w * s), cy + radius * np.sin(w * s)
+            a = TWO_PI * np.mod(turns * s, 1.0)  # at most one turn: the ends meet exactly
+            return cx + radius * np.cos(a), cy + radius * np.sin(a)
 
         def derivative(s):
-            return -radius * w * np.sin(w * s), radius * w * np.cos(w * s)
+            a = TWO_PI * np.mod(turns * s, 1.0)
+            return -radius * w * np.sin(a), radius * w * np.cos(a)
 
         return cls(curve, derivative, samples)
 

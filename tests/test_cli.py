@@ -360,6 +360,18 @@ def test_forms_rejects_bad_numbers(capsys):
     assert err == "" and json.loads(out)["period"] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
+def test_forms_period_closes_at_a_million_turns_and_beyond(capsys):
+    for turns in ("1000000", "-1000000"):
+        assert main(["forms", "--demo", "period", "--turns", turns, "--radius", "1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+    # the unreduced angle 2 pi * turns * s rounded the ends apart from a million turns on
+    for turns in (1, 2, 3, 1000, 999999, 10 ** 6, 1000003, 10 ** 9, 10 ** 12, -10 ** 6):
+        for radius in (1e-5, 1e-2, 1.0, 2.5, 1e5, 1e160):
+            argv = ["forms", "--demo", "period", "--turns", str(turns), "--radius", repr(radius)]
+            assert main(argv) == EXIT_OK, argv
+            assert capsys.readouterr().err == ""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_forms_ws_wide_orbit_and_amplitudes_out_of_range(capsys):
     # a closed orbit 7118 wide that starts near the origin passes

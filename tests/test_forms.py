@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,22 @@ def test_coboundary_examples():
     two_form = coboundary(d)
     with pytest.raises(DegreeError):
         coboundary(two_form)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_coboundary_peak_memory_is_about_its_output(degree):
+    # array differences, not a gathered row per cell: at most 3x the result's bytes
+    cx = CubicalComplex(1025, 1025)
+    form = DiscreteForm(cx, degree, np.random.default_rng(degree).standard_normal(
+        cx.n_cells(degree)))
+    tracemalloc.start()
+    try:
+        out = coboundary(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.nbytes == 8 * cx.n_cells(degree + 1)
+    assert peak <= 3 * out.values.nbytes
 
 
 def test_dd_zero_exact_on_integer_forms():
@@ -231,6 +248,19 @@ def test_angular_period_multi_turn():
         cycle = ParametricCycle.circle(radius=1.5, turns=turns)
         period = period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))
         assert period == pytest.approx(TWO_PI * turns, abs=1e-9)
+
+
+@pytest.mark.parametrize("turns", [1, 3, 999999, 10 ** 6, 1000003, 10 ** 9, 10 ** 12, -10 ** 6])
+@pytest.mark.parametrize("radius", [1e-5, 1.0, 2.5, 1e160])
+def test_circle_closes_exactly_at_any_turn_count(turns, radius):
+    # the angle is reduced to one turn before cos and sin, so the ends meet exactly
+    cycle = ParametricCycle.circle(radius=radius, turns=turns)
+    for f in (cycle.curve, cycle.derivative):
+        (x0, x1), (y0, y1) = f(np.array([0.0, 1.0]))
+        assert (x0, y0) == (x1, y1)
+    ax, ay = angular_form_components()
+    period = period_integral(ax, ay, cycle, singularities=((0.0, 0.0),))
+    assert period == pytest.approx(TWO_PI * turns, rel=32 * np.finfo(float).eps)  # as cli._agrees
 
 
 def test_angular_period_random_star_cycles():
