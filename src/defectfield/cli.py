@@ -193,15 +193,15 @@ def cmd_forms(args) -> int:
             counts = kept[degree == p].sum(1)
             _, owner, rows, signs = forms.chain_rows(cx, p, cells[kept], counts)
             touched[degree == p] = np.bincount(owner, minlength=counts.size)
-            batches.append((p, rows, signs, coeffs[kept], owner, counts))
+            batches.append((p, rows, signs, coeffs[kept], owner, counts.size))
         drawn = rng.standard_normal(touched.sum())
         pair = np.repeat(np.arange(args.pairs), touched)
         scale = np.ones(args.pairs)
         np.maximum.at(scale, pair, np.abs(drawn))
         residual = np.empty(args.pairs)
-        for p, rows, signs, chain_coeffs, owner, counts in batches:
+        for p, rows, signs, chain_coeffs, owner, n in batches:
             residual[degree == p] = forms.stokes_on_rows(
-                rows, signs, chain_coeffs, drawn[degree[pair] == p], owner, counts)
+                rows, signs, chain_coeffs, drawn[degree[pair] == p], owner, n)
         worst = float(np.max(np.abs(residual) / scale))
         report = {"demo": "stokes", "nodes": args.nodes, "seed": args.seed, "pairs": args.pairs,
                   "max_relative_residual": worst, "tolerance": 1e-12,

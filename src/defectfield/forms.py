@@ -176,29 +176,38 @@ def chain_rows(cx: CubicalComplex, degree: int, cells, counts=None):
 
 
 def _boundary_sums(rows, signs, coeffs, n: int) -> np.ndarray:
-    """Each of the n touched lower cells' sum of its rows' signs times their coefficients."""
+    """Each of the n touched lower cells' sum of its rows' signs times their coefficients.
+
+    Exact in int64; a coefficient or a sum outside it raises ValueError. int64 adds
+    wrap modulo 2**64, so a sum that left the range lies about 2**64 from its float sum.
+    """
+    try:
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"chain coefficients must fit in int64: {max(coeffs, key=abs)}") from None
     sums = np.zeros(n, dtype=np.int64)
-    np.add.at(sums, rows.ravel(), (signs * np.asarray(coeffs, dtype=np.int64)[:, None]).ravel())
+    np.add.at(sums, rows.ravel(), (signs * coeffs[:, None]).ravel())
+    near = np.bincount(rows.ravel(), (signs * coeffs[:, None].astype(float)).ravel(), n)
+    if np.any(np.abs(near - sums) > 2.0 ** 62):
+        raise ValueError(f"chain coefficients sum to {np.abs(near).max():.6g} on a boundary "
+                         "cell, outside int64")
     return sums
 
 
-def stokes_on_rows(rows, signs, coeffs, values, owner, counts=None) -> np.ndarray:
-    """(d w)(c) - w(boundary c) of each chain, from ``chain_rows`` and w on the touched cells.
+def stokes_on_rows(rows, signs, coeffs, values, owner, n: int = 1) -> np.ndarray:
+    """(d w)(c) - w(boundary c) of the n chains, from ``chain_rows`` and w on the touched cells.
 
-    ``coeffs`` follow the rows. Row and boundary sums are taken for all chains
-    at once, d w per row as ``coboundary`` sums it; each chain's (d w)(c) and
-    w(boundary c), in ascending cell order as ``evaluate`` takes it, is one
-    ``@``, so every residual has the bits of its chain's whole-complex difference.
+    ``coeffs`` follow the rows; d w is taken per row as ``coboundary`` sums it.
+    Each chain's (d w)(c), in its own cell order as ``evaluate`` takes it, and
+    its w(boundary c), in the ascending order of ``boundary``, are added from 0
+    in that order (``np.bincount``, no BLAS), so every residual has the bits of
+    its chain's whole-complex difference, and the same bits on every machine.
     """
-    counts = [len(rows)] if counts is None else counts
     sums = _boundary_sums(rows, signs, coeffs, len(values))
-    keep = sums != 0
     d_w = sum((signs * values[rows]).T, np.zeros(len(rows)))  # each row from 0, as _grid_d
-    coeffs, around, weights = np.asarray(coeffs, float), values[keep], sums[keep].astype(float)
-    row_at = np.cumsum([0, *counts]).tolist()
-    kept_at = np.cumsum([0, *np.bincount(owner[keep], minlength=len(counts))]).tolist()
-    return np.array([d_w[r:r_end] @ coeffs[r:r_end] - around[k:k_end] @ weights[k:k_end]
-                     for r, r_end, k, k_end in zip(row_at, row_at[1:], kept_at, kept_at[1:])])
+    # a cell whose sum is 0 adds +-0, which leaves a sum begun at +0 as it is
+    return (np.bincount(owner[rows[:, 0]], d_w * np.asarray(coeffs, float), n)
+            - np.bincount(owner, values * sums, n))
 
 
 def _boundary(cx: CubicalComplex, degree: int, cells, coeffs) -> Chain:
@@ -234,13 +243,14 @@ def coboundary(form: DiscreteForm) -> DiscreteForm:
 
 
 def evaluate(form: DiscreteForm, chain: Chain) -> float:
-    """Integrate a form over a chain: sum of coefficient times cell value."""
+    """Integrate a form over a chain: coefficient times cell value, added from 0 in the
+    chain's order (``np.bincount``, no BLAS), so the sum has the same bits on every machine."""
     if form.degree != chain.degree:
         raise DegreeError(f"degree mismatch: form {form.degree}, chain {chain.degree}")
     if form.cx is not chain.cx:
         raise ValueError("form and chain live on different complexes")
-    coefs = np.array(list(chain.coeffs.values()), dtype=float)
-    return float(form.values[list(chain.coeffs)] @ coefs)
+    terms = form.values[list(chain.coeffs)] * np.array(list(chain.coeffs.values()), dtype=float)
+    return float(np.bincount(np.zeros(terms.size, dtype=np.int64), terms, 1)[0])
 
 
 def stokes_residual(form: DiscreteForm, chain: Chain) -> float:

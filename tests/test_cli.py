@@ -406,6 +406,31 @@ def test_forms_stokes_groups_chains_whose_cell_tags_would_overflow(capsys):
     assert report["passed"] is True and 0.0 < report["max_relative_residual"] <= 1e-12
 
 
+def test_forms_bytes_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE forces one process's OpenBLAS kernel; a chain sum handed to
+    # BLAS read other bits under Prescott than under the default kernel
+    script = (
+        "from defectfield import cli, forms\n"
+        "cli.main(['forms', '--demo', 'stokes', '--nodes', '64', '--pairs', '400',"
+        " '--seed', '5'])\n"
+        "cx = forms.annulus_complex(96, 96, (30, 50, 40, 61))\n"
+        "print(repr(forms.closed_not_exact_witness("
+        "forms.winding_one_form(cx, center=(30.5, 40.5)))))\n")
+    outputs = {}
+    for coretype in ("Prescott", "Haswell", None):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", (coretype, proc.stderr)
+        outputs[coretype] = proc.stdout
+    assert outputs["Prescott"] == outputs["Haswell"] == outputs[None]
+    report, _, witness = outputs[None].rstrip("\n").rpartition("\n")
+    assert json.loads(report)["passed"] is True and witness.startswith("(True, 6.28318530717958")
+
+
 def test_ledger_command(capsys):
     assert main(["ledger", "--nu", "1.0"]) == EXIT_OK
     geo = json.loads(capsys.readouterr().out)

@@ -81,6 +81,25 @@ def test_boundary_of_face_block_is_outer_loop():
     assert boundary(edges).coeffs == {}
 
 
+def test_boundary_sums_outside_int64_raise_and_sums_inside_are_exact():
+    cx = CubicalComplex(4, 4)
+    vertices = DiscreteForm(cx, 0, np.ones(cx.n_vertices))
+    # vertex 1 is edge 0's head and edge 1's tail: 2**62 + 2**62 once wrapped to -2**63;
+    # 2**70 is no int64; -(-2**63) wraps to itself
+    for coeffs in ({0: 2 ** 62, 1: -2 ** 62}, {0: 2 ** 70}, {0: -2 ** 63}):
+        for apply in (boundary, lambda chain: stokes_residual(vertices, chain)):
+            with pytest.raises(ValueError, match="chain coefficients"):
+                apply(Chain(cx, 1, coeffs))
+    top = 2 ** 63 - 1
+    assert boundary(Chain(cx, 1, {0: top})).coeffs == {0: -top, 1: top}
+    assert boundary(Chain(cx, 1, {0: -2 ** 62, 1: 2 ** 62})).coeffs == {
+        0: 2 ** 62, 1: -2 ** 63, 2: 2 ** 62}
+    # vertex 5 (edges 3 and 13 in, 4 out) passes 2**63 on the way to 2**62
+    assert boundary(Chain(cx, 1, {3: 2 ** 62, 13: 2 ** 62, 4: 2 ** 62})).coeffs == {
+        1: -2 ** 62, 4: -2 ** 62, 5: 2 ** 62, 6: 2 ** 62}
+    assert stokes_residual(vertices, Chain(cx, 1, {0: top, 2: -2 ** 62})) == 0.0
+
+
 @pytest.mark.parametrize("coeffs", [
     {2.5: 1},                # non-integral cell index, once truncated to 2
     {2: math.inf},           # once escaped as OverflowError

@@ -317,7 +317,7 @@ def test_batched_stokes_residuals_are_each_chains_own(batch, seed, exponent):
             lower = cx.lower_cells(degree, list(chain.coeffs))[0]
             assert touched[owner == k].tolist() == np.unique(lower).tolist()
         coeffs = [coef for chain in mine for coef in chain.coeffs.values()]
-        got = stokes_on_rows(rows, signs, coeffs, form.values[touched], owner, counts)
+        got = stokes_on_rows(rows, signs, coeffs, form.values[touched], owner, len(counts))
         want = np.array([stokes_residual(form, chain) for chain in mine])
         assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -334,7 +334,7 @@ def test_chain_rows_groups_chains_whose_cells_are_near_2e16():
     counts = [3] * len(cells)
     touched, owner, rows, signs = chain_rows(cx, 2, cells.ravel(), counts)
     values = rng.standard_normal(touched.size)
-    got = stokes_on_rows(rows, signs, coeffs.ravel(), values, owner, counts)
+    got = stokes_on_rows(rows, signs, coeffs.ravel(), values, owner, len(counts))
     for k in range(len(cells)):
         alone, alone_owner, alone_rows, alone_signs = chain_rows(cx, 2, cells[k])
         assert touched[owner == k].tolist() == alone.tolist()
