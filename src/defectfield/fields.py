@@ -122,11 +122,17 @@ def _all_finite(values: np.ndarray) -> bool:
     return bool(np.isfinite(values).all())
 
 
-def _require_finite(values: np.ndarray, what: str, x0: int = 0) -> None:
-    """Raise SamplingError at the first non-finite node; x0 offsets the x index."""
+def _require_finite(values: np.ndarray, what: str, nodes=None) -> None:
+    """Raise SamplingError at the first non-finite node.
+
+    ``nodes[a][i]`` is the grid index of the values' position i along axis a
+    (by default i itself).
+    """
     if not _all_finite(values):
-        i, j, k = (int(v) for v in np.argwhere(~np.isfinite(values))[0])
-        raise SamplingError(f"non-finite {what} at node {(i + x0, j, k)}")
+        at = np.argwhere(~np.isfinite(values))[0]
+        if nodes is not None:
+            at = [n[i] for n, i in zip(nodes, at)]
+        raise SamplingError(f"non-finite {what} at node {tuple(int(v) for v in at)}")
 
 
 @dataclass(frozen=True)

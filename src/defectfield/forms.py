@@ -249,7 +249,12 @@ def evaluate(form: DiscreteForm, chain: Chain) -> float:
         raise DegreeError(f"degree mismatch: form {form.degree}, chain {chain.degree}")
     if form.cx is not chain.cx:
         raise ValueError("form and chain live on different complexes")
-    terms = form.values[list(chain.coeffs)] * np.array(list(chain.coeffs.values()), dtype=float)
+    try:
+        coeffs = np.array(list(chain.coeffs.values()), dtype=float)
+    except OverflowError:
+        raise ValueError("chain coefficients must fit in float range: "
+                         f"{max(chain.coeffs.values(), key=abs)}") from None
+    terms = form.values[list(chain.coeffs)] * coeffs
     return float(np.bincount(np.zeros(terms.size, dtype=np.int64), terms, 1)[0])
 
 

@@ -10,7 +10,11 @@ check, which takes the factor of a central difference with the step
 matched to the grid's z spacing. No check evaluates a model at any other
 time, and the E-field and gauge checks evaluate none beyond the field
 they are given. Refinement studies report the observed order
-log2(residual(h) / residual(h/2)).
+log2(residual(h) / residual(h/2)); ``claims`` takes every refined level's
+wave residual at the base grid's interior nodes only, the same points on
+every level (``wave_residual`` with its ``base``), so the order is the
+stencil's own and a refined level's cost grows with the base grid, not
+with the refined one.
 
 The wave operator never holds a sampled grid: ``wave_residual_fields``
 walks x in slabs of SLAB_PLANES planes, evaluates the model on each slab's
@@ -41,8 +45,10 @@ from .fields import (
     GridSpec,
     PotentialField,
     _diff_array,
+    _central,
     _laplacian_at,
     _require_finite,
+    _take,
     curl,
     divergence,
     harmonic_factor,
@@ -53,7 +59,8 @@ from .models import DisclinationModel
 # x planes per slab of the wave residual
 SLAB_PLANES = 4
 # bytes of the wave residual's buffer per stencil call: as many of a slab's
-# planes as fit, and at least one
+# planes as fit, and at least one; the base-node report sizes its blocks of
+# base x nodes by it too
 BLOCK_BYTES = 256 * 1024
 
 
@@ -182,6 +189,11 @@ def _component(values, shape) -> np.ndarray:
     return arr.reshape((1,) * (3 - arr.ndim) + arr.shape)
 
 
+def _labels(count: int) -> tuple:
+    """The names a non-finite sample of each of a model's components is reported by."""
+    return ("scalar value",) if count == 1 else ("ax value", "ay value", "az value", "phi value")
+
+
 def wave_residual_fields(model, grid: GridSpec, t: float):
     """Interior magnitudes of laplacian(f) - (1/c^2) d2f/dt2, per slab and component.
 
@@ -225,11 +237,10 @@ def wave_residual_fields(model, grid: GridSpec, t: float):
         window = (h1 - h0,) + grid.dims[1:]
         # the previous slab's arrays are alive until this assignment
         comps = [_component(v, window) for v in model.components(X[h0:h1], Y, Z, t)]
-        what = (("scalar value",) if len(comps) == 1 else
-                ("ax value", "ay value", "az value", "phi value"))
-        for f, label in zip(comps, what, strict=True):
+        for f, label in zip(comps, _labels(len(comps)), strict=True):
             if f.shape[0] > 1:
-                _require_finite(f[checked - h0:], label, checked)
+                _require_finite(f[checked - h0:], label,
+                                (range(checked, h1), *map(range, grid.dims[1:])))
             elif checked == 0:
                 _require_finite(f, label)
         checked = h1
@@ -262,14 +273,94 @@ def wave_residual_fields(model, grid: GridSpec, t: float):
             yield slab, weight
 
 
-def wave_residual(model, grid: GridSpec, t: float) -> ResidualReport:
+def _refinement_stride(grid: GridSpec, base: GridSpec) -> int:
+    """2**j for a grid that is base refined j >= 1 times; ValueError for any other grid."""
+    level, stride = base.refined(), 2
+    while level.node_count < grid.node_count:
+        level, stride = level.refined(), 2 * stride
+    if level != grid:
+        raise ValueError(f"{grid} is not a refinement of the base grid {base}")
+    return stride
+
+
+def _base_node_fields(model, grid: GridSpec, base: GridSpec, t: float):
+    """|laplacian(f) - (1/c^2) d2f/dt2| on a refined grid at base's interior nodes.
+
+    ``grid`` is ``base`` refined j times and base has at least five nodes
+    per axis, so base's interior nodes are every 2**j-th node of grid, the
+    same points on every level, each with grid nodes on both sides. A block
+    of base x nodes at a time (sized by BLOCK_BYTES), the model is evaluated
+    at the block's nodes once and, per axis, at their -1 and +1 neighbours
+    along it in one call, with coordinates from grid's ``axis_coords``;
+    every sample is checked finite, and a non-finite one is named by its
+    node of grid. Each axis a component varies along adds the second
+    difference of ``fields._central``, in x, y, z order as ``_laplacian_at``
+    sums them, so every magnitude equals the whole-grid ``fields.laplacian``
+    residual at its node bit for bit.
+
+    Yields ``(magnitudes, weight)`` per block and component, as
+    ``wave_residual_fields`` does: length 1 along an axis the component does
+    not vary along, each value standing for ``weight`` nodes.
+    """
+    stride = _refinement_stride(grid, base)
+    coef = harmonic_factor(model, 2) / model.c ** 2
+    nodes = [stride * np.arange(n)[s] for s, n in zip(interior_slices(base.dims), base.dims)]
+    coords = [grid.axis_coords(a) for a in range(3)]
+
+    def evaluate(index):
+        # the model on the product of the per-axis node indices, each component 3-D
+        shape = tuple(map(len, index))
+        comps = [_component(v, shape) for v in model.components(
+            *(coords[a][i].reshape([-1 if b == a else 1 for b in range(3)])
+              for a, i in enumerate(index)), t)]
+        for f, label in zip(comps, _labels(len(comps)), strict=True):
+            _require_finite(f, label, index)
+        return comps
+
+    # base's interior x nodes per block: as many as keep one component's
+    # -1 and +1 samples along an axis within BLOCK_BYTES, and at least one
+    block = max(1, BLOCK_BYTES // (32 * len(nodes[1]) * len(nodes[2])))
+    for x0 in range(0, len(nodes[0]), block):
+        part = [nodes[0][x0:x0 + block], *nodes[1:]]
+        centre = evaluate(part)
+        shifted = [evaluate([np.concatenate((i - 1, i + 1)) if b == a else i
+                             for b, i in enumerate(part)]) for a in range(3)]
+        for q, f in enumerate(centre):
+            # a sum begun at 0 holds the first term's magnitude bits
+            residual = np.zeros(f.shape, dtype=np.complex128)
+            for a, m in enumerate(map(len, part)):
+                g = shifted[a][q]
+                if g.shape[a] == 1:
+                    continue  # f does not vary along a
+                trio = np.stack((_take(g, slice(0, m), a), f, _take(g, slice(m, None), a)))
+                term = np.empty_like(trio[:1])
+                _central(term, trio, 0, 1, 2, 1.0 / grid.spacing[a] ** 2)
+                residual = residual + term[0]
+            mags = np.abs(residual - np.multiply(coef, f))
+            yield mags, math.prod(len(n) for n, k in zip(part, mags.shape) if k == 1)
+
+
+def wave_residual(model, grid: GridSpec, t: float, base: GridSpec | None = None
+                  ) -> ResidualReport:
     """Interior statistics of the wave operator applied to every component.
 
     Each of ``wave_residual_fields``'s slabs of magnitudes is folded by
     ``_sums`` as it is made; a value broadcast along an axis stands for that
     axis's interior nodes, so it is weighted by their number.
+
+    Given a ``base`` grid that ``grid`` refines, the statistics are taken at
+    base's interior nodes only, the same points on every refinement level,
+    and the model is evaluated only there and at their neighbours
+    (``_base_node_fields``); a grid that is not one of base's refinements
+    raises ValueError. The base itself, and a base with an axis of fewer
+    than five nodes, whose interior reaches its boundary, take grid's whole
+    interior.
     """
-    mx, rms = _max_rms([_sums(m, w) for m, w in wave_residual_fields(model, grid, t)])
+    if base is None or base == grid or min(base.dims) < 5:
+        parts = wave_residual_fields(model, grid, t)
+    else:
+        parts = _base_node_fields(model, grid, base, t)
+    mx, rms = _max_rms([_sums(m, w) for m, w in parts])
     return ResidualReport("wave", mx, rms, float(max(grid.spacing)))
 
 
@@ -278,7 +369,10 @@ def convergence_study(make_report, grid: GridSpec, refinements: int = 2):
 
     ``make_report`` maps a GridSpec to a ResidualReport. Each refined
     report carries observed_order = log2(previous max / current max);
-    orders are left unset when a residual vanishes.
+    orders are left unset when a residual vanishes. The maxima should be
+    taken at the same points on every grid, as ``claims`` does by reporting
+    each refined grid at the base grid's interior nodes; a region that grows
+    with the grid biases the orders.
     """
     grids = [grid]
     for _ in range(refinements):
@@ -329,7 +423,8 @@ def _claim_table(model, dims: int, refinements: int) -> list[tuple]:
         ("transverse_divergence_interior_max", transverse_divergence(sampled).interior_max,
          0.0, 1e-10, ()),
     ]
-    reports = convergence_study(lambda g: wave_residual(model, g, 0.0), grid, refinements - 1)
+    reports = convergence_study(lambda g: wave_residual(model, g, 0.0, grid), grid,
+                                refinements - 1)
     orders = tuple(r.observed_order for r in reports[1:] if r.observed_order is not None)
     table.append(("wave_residual_rel", reports[0].interior_max / wave_scale, 0.0, 0.05, orders))
 
@@ -366,7 +461,8 @@ def claims(model, dims: int, refinements: int) -> list[dict]:
 
     The model is sampled on a centred grid of ``dims`` nodes per axis (6/k
     across, one wavelength deep); the wave residual is refined
-    ``refinements - 1`` times for its observed orders. Every row is decided
+    ``refinements - 1`` times for its observed orders, each refined grid
+    reporting at the base grid's interior nodes. Every row is decided
     by one rule: passed when |value - expected| <= tolerance and every
     observed order lies in [1.7, 2.3] (only the wave row has orders). A fit
     or index that is undefined gives NaN, which fails its row. Raises

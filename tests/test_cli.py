@@ -184,6 +184,25 @@ def test_verify_base_grid_residual_independent_of_refinements(tmp_path):
     assert values[0] == values[1]
 
 
+@pytest.mark.parametrize("dims", [10, 11, 12, 13])
+def test_verify_passes_a_correct_model_at_coarse_dims(dims, tmp_path):
+    # each refined level reports at the base grid's nodes, so the observed order is
+    # the stencil error's own: log2 eps(n) / eps(2n - 1), where eps(n) = 1 - sinc^2(kh/2)
+    # with kh = 2 pi / (n - 1), the z central difference of exp(ikz) on one wavelength
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--model", DISCLINATION, "--dims", str(dims), "--refinements", "2",
+                 "--out", str(out)]) == EXIT_OK
+
+    def eps(n):
+        half = math.pi / (n - 1)
+        return 1.0 - (math.sin(half) / half) ** 2
+
+    wave = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln.startswith("wave_residual_rel")][0]
+    assert float(wave[1]) == pytest.approx(eps(dims), rel=1e-9)
+    assert wave[5] == f"{math.log2(eps(dims) / eps(2 * dims - 1)):.3f}"
+
+
 def test_verify_129_csv_is_the_pinned_bytes(tmp_path):
     # 33, 65 and 129 nodes; tests/data/verify-129.csv pins the bytes, so a digit
     # that moves fails here even when two runs agree with each other

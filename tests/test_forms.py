@@ -100,6 +100,17 @@ def test_boundary_sums_outside_int64_raise_and_sums_inside_are_exact():
     assert stokes_residual(vertices, Chain(cx, 1, {0: top, 2: -2 ** 62})) == 0.0
 
 
+@pytest.mark.parametrize("coeff", [10 ** 400, -10 ** 309])
+def test_evaluate_of_a_coefficient_beyond_float_range_names_the_chain_coefficients(coeff):
+    cx = CubicalComplex(4, 4)
+    edges = DiscreteForm(cx, 1, np.ones(cx.n_edges))
+    with pytest.raises(ValueError, match=r"^chain coefficients must fit in float range: "
+                                         rf"{coeff}$"):
+        evaluate(edges, Chain(cx, 1, {0: coeff, 3: 1}))
+    # the largest coefficients a float holds still evaluate
+    assert evaluate(edges, Chain(cx, 1, {0: 2 ** 1023, 3: -2 ** 1023})) == 0.0
+
+
 @pytest.mark.parametrize("coeffs", [
     {2.5: 1},                # non-integral cell index, once truncated to 2
     {2: math.inf},           # once escaped as OverflowError

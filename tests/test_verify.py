@@ -502,6 +502,131 @@ def test_wave_residual_does_not_depend_on_the_slab_size(kind, dims, monkeypatch)
         assert other == mags
 
 
+# ------------------------------------------- refined levels at the base nodes
+
+def refined(base, level):
+    grid = base
+    for _ in range(level):
+        grid = grid.refined()
+    return grid
+
+
+def base_nodes(base, level):
+    """The refined grid's index region of base's interior nodes: every 2**level-th node."""
+    stride = 2 ** level
+    return tuple(slice(2 * stride, (n - 2) * stride, stride) for n in base.dims)
+
+
+def base_node_magnitudes(model, grid, base, t):
+    """Per component, the refined level's magnitudes, each repeated by the number of
+    nodes it stands for, sorted."""
+    parts = list(verify._base_node_fields(model, grid, base, t))
+    count = len(model.components(0.0, 0.0, 0.0, t))
+    return [np.sort(np.concatenate([np.repeat(mags.ravel(), weight)
+                                    for mags, weight in parts[q::count]]))
+            for q in range(count)]
+
+
+def assert_base_node_report_is_dense(model, base, level, t):
+    grid = refined(base, level)
+    region = base_nodes(base, level)
+    dense = dense_wave_residual(model, grid, t)
+    walked = base_node_magnitudes(model, grid, base, t)
+    assert len(walked) == len(dense)
+    for (name, r), mags in zip(dense.items(), walked):
+        assert mags.tobytes() == np.sort(np.abs(r[region]).ravel()).tobytes(), name
+    every = np.concatenate([np.abs(r[region]).ravel() for r in dense.values()])
+    report = wave_residual(model, grid, t, base)
+    assert report.interior_max == every.max()
+    assert report.interior_rms == pytest.approx(np.sqrt(np.mean(every ** 2)), rel=1e-12,
+                                                abs=1e-300)
+    assert report.grid_spacing == wave_residual(model, grid, t).grid_spacing
+
+
+@pytest.mark.parametrize("one_plane_blocks", [False, True])
+@pytest.mark.parametrize("level", [1, 2])
+def test_refined_levels_report_the_dense_residual_at_the_base_nodes(level, one_plane_blocks,
+                                                                     monkeypatch):
+    # a verify grid: every component of the disclination, each node's |residual|
+    # the whole-grid laplacian's bit for bit, with one or many base x nodes a block
+    if one_plane_blocks:
+        monkeypatch.setattr(verify, "BLOCK_BYTES", 1)
+    model = disclination(k=1.3, az=0.5 - 0.5j)
+    assert_base_node_report_is_dense(model, box_grid(k=1.3, n=17), level, 0.0)
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(
+    dims=st.tuples(*[st.integers(5, 9)] * 3),
+    spacing=st.tuples(*[st.floats(0.05, 2.0)] * 3),
+    kind=st.sampled_from(sorted(MODEL_KINDS)),
+    level=st.sampled_from([1, 2]),
+    t=st.floats(-3.0, 3.0),
+)
+@example(dims=(5, 5, 5), spacing=(0.5, 0.5, 0.5), kind="disclination", level=2, t=0.0)
+@example(dims=(9, 6, 5), spacing=(0.3, 0.4, 0.5), kind="rigid_rotation", level=1, t=0.0)
+def test_base_node_report_matches_dense_reference(dims, spacing, kind, level, t):
+    model = MODEL_KINDS[kind]()
+    base = GridSpec(dims, spacing, origin=(-0.4 * dims[0] * spacing[0], -0.3, 0.2))
+    assert_base_node_report_is_dense(model, base, level, t)
+
+
+class _Recording:
+    """Delegates to a model and records the grid index of every point it is evaluated at."""
+
+    def __init__(self, model, grid):
+        self.model, self.grid, self.points = model, grid, []
+
+    def components(self, x, y, z, t):
+        index = [np.rint((np.asarray(c) - o) / h).astype(int)
+                 for c, o, h in zip((x, y, z), self.grid.origin, self.grid.spacing)]
+        self.points.append(np.stack([i.ravel() for i in np.broadcast_arrays(*index)], 1))
+        return self.model.components(x, y, z, t)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_refined_levels_evaluate_only_the_base_nodes_and_their_neighbours(level):
+    base = box_grid(n=17)
+    grid = refined(base, level)
+    model = _Recording(disclination(), grid)
+    wave_residual(model, grid, 0.0, base)
+    points = np.concatenate(model.points)
+    stride, m = 2 ** level, 17 - 4
+    # m**3 base nodes, and each one's two neighbours along each axis (at level 1
+    # a node's +1 neighbour is the next node's -1 neighbour)
+    assert len(points) == 7 * m ** 3
+    # off a base node along one axis at most, and there by one node
+    off = points % stride != 0
+    assert np.all(off.sum(axis=1) <= 1)
+    assert np.all(~off | np.isin(points % stride, (1, stride - 1)))
+    lo, hi = 2 * stride, (17 - 3) * stride
+    assert np.all(np.where(off, (lo - 1 <= points) & (points <= hi + 1),
+                           (lo <= points) & (points <= hi)))
+
+
+def test_base_node_report_names_the_refined_non_finite_node():
+    base = GridSpec.centered((4.0, 3.0, 2.0), (7, 6, 5))
+    grid = refined(base, 1)
+    node = (5, 6, 4)  # base node (3, 3, 2)'s -1 neighbour along x
+    with pytest.raises(SamplingError, match=r"non-finite scalar value at node \(5, 6, 4\)$"):
+        wave_residual(_NaNAt(grid.node_position(*node)), grid, 0.0, base)
+
+
+def test_base_node_report_needs_a_refinement_of_the_base_grid():
+    base = box_grid(n=9)
+    model = disclination()
+    with pytest.raises(ValueError, match="is not a refinement of the base grid"):
+        wave_residual(model, GridSpec(base.dims, base.spacing), 0.0, base)
+    # the base itself, or a base whose interior reaches its boundary, takes the
+    # whole interior of the grid
+    small = GridSpec.centered((6.0, 6.0, TWO_PI), (9, 9, 4))
+    for grid, base_grid in ((base, base), (small.refined(), small)):
+        assert wave_residual(model, grid, 0.0, base_grid) == wave_residual(model, grid, 0.0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("a", [1e300, 1e307])
 def test_rms_does_not_overflow_while_the_max_is_finite(a):
@@ -620,6 +745,24 @@ def test_claims_table_is_the_verify_csv_and_one_rule_decides_every_row(tmp_path)
         rule = (abs(r["value"] - r["expected"]) <= r["tolerance"]
                 and all(1.7 <= o <= 2.3 for o in orders))
         assert r["passed"] is rule is True, r
+
+
+@pytest.mark.parametrize("j", [1, 10, 20])
+def test_claims_are_covariant_under_k_scaled_by_a_power_of_two(j):
+    # the grid is 6/k across and one wavelength deep, so k -> 2**j k scales it
+    # exactly: the gauge rows, whose rounding floor grows with k, scale by 2**j
+    # and every other row keeps its bits
+    gauge = {"lorentz_interior_max", "transverse_divergence_interior_max"}
+    rows, scaled = claims(disclination(k=1.0), 17, 2), claims(disclination(k=2.0 ** j), 17, 2)
+    assert [r["check"] for r in scaled] == [r["check"] for r in rows]
+    for r, s in zip(rows, scaled):
+        if r["check"] in gauge:
+            assert r["value"] > 0
+            assert s["value"] == r["value"] * 2 ** j, r["check"]
+        else:
+            assert s["value"] == r["value"], r["check"]
+        assert s["orders"] == r["orders"], r["check"]
+    assert rows[2]["orders"] != ""
 
 
 def test_claims_off_shell_fails_only_the_wave_row():
