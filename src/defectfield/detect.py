@@ -208,6 +208,16 @@ def _plaquette_centroid(grid: GridSpec, i, j, k: int):
     return (x0 + grid.spacing[0] / 2, y0 + grid.spacing[1] / 2, z0)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of finite or +inf values, bit for bit, by one partition at n // 2
+    (``np.median`` partitions at two kth and at -1 for its NaN check): for even n the
+    lower middle value is the largest below that kth, and (lo + hi) / 2 is its mean."""
+    n = values.size
+    part = np.partition(values, n // 2, axis=None)
+    hi = part[n // 2]
+    return float(hi if n % 2 else (part[:n // 2].max() + hi) / 2)
+
+
 def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
                 kind: str) -> list[DefectRecord]:
     """Scan one slice for points where every component vanishes and winds.
@@ -240,7 +250,7 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
         raise ValueError("slice must be at least 2x2 nodes")
     amps = [np.abs(c) for c in comps]
     amp = amps[0] if len(amps) == 1 else np.hypot(*amps)
-    floor = TOL_AMP * float(np.median(amp))
+    floor = TOL_AMP * _median(amp)
 
     low = np.logical_and.reduce([a <= floor for a in amps])
     # a low node with its +x neighbour at the floor fails the ring test; drops aperture zeros
@@ -262,8 +272,8 @@ def _find_zeros(comps: list[np.ndarray], grid: GridSpec, z_slice: int,
         keep &= _plaquette_windings(c[corner])[0, 0] != 0
     if len(amps) > 1 and keep.any():  # the medians only when a candidate is left
         for a in amps:
-            nonzero = a[a > 0]  # a fresh copy
-            m = float(np.median(nonzero, overwrite_input=True)) if nonzero.size else -math.inf
+            nonzero = a[a > 0]
+            m = _median(nonzero) if nonzero.size else -math.inf
             keep &= a[corner].min(axis=(0, 1)) <= REL_ZERO * m
 
     x, y, z = grid.node_position(i[on], j[on], z_slice)

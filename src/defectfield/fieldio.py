@@ -13,10 +13,11 @@ so ``save_field`` writes them without a copy; an array in any other layout
 is copied into that order one z slice at a time.
 
 ``load_field`` memory-maps the binary. It checks the size and the
-finiteness of the whole file, by one exact max/min reduction per z slab (both
-propagate NaN and reach +-inf), and then copies out either every slice or
-only the one z slice a caller asks for, so detecting on one slice does not
-decode the whole volume.
+finiteness of the whole file, by one sum over the float64 values of each
+component (NaN and +-inf propagate through it; only a sum that is not finite,
+which finite values reach by overflow, takes an exact max/min reduction to
+decide), and then copies out either every slice or only the one z slice a
+caller asks for, so detecting on one slice does not decode the whole volume.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (ComplexScalarField, GridSpec, PotentialField, _all_finite,
-                     _require_finite)
+from .fields import ComplexScalarField, GridSpec, PotentialField, _require_finite
 
 FORMAT_VERSION = 1
 
@@ -74,7 +74,7 @@ def load_field(manifest_path, z_slice=None):
     """Read a manifest and its binary; returns the reconstructed field.
 
     With ``z_slice`` = k the whole file is still checked for NaN and +-inf,
-    by one max/min reduction per z slab of each component, but only slice k
+    by one sum over each component (see ``fields._all_finite``), but only slice k
     is copied: the result lives on the one-slice grid whose origin is node
     (0, 0, k) of the file's grid, so positions found on it are those found
     on slice k of the full field. The returned arrays are x fastest, like
@@ -109,11 +109,10 @@ def load_field(manifest_path, z_slice=None):
                                     shape=(len(names), nz, ny, nx)))
     except OSError as exc:
         raise ValueError(f"unreadable field data {data_path}: {exc}") from exc
-    # a node is finite when its re and im parts both are
-    for name, component, parts in zip(names, data, data.view("<f8")):
-        if not all(_all_finite(slab) for slab in parts):
-            # reports the first non-finite node in (i, j, k) order
-            _require_finite(component.transpose(2, 1, 0), f"{name} value")
+    # one pass per component; a node is finite when its re and im parts both are,
+    # and the first non-finite node is reported in (i, j, k) order
+    for name, component in zip(names, data):
+        _require_finite(component.transpose(2, 1, 0), f"{name} value")
     if z_slice is not None:
         if not 0 <= z_slice < nz:
             raise ValueError(f"slice {z_slice} out of range for {nz} slice(s)")

@@ -109,15 +109,18 @@ class GridSpec:
 def _all_finite(values: np.ndarray) -> bool:
     """Whether an array holds no NaN and no +-inf.
 
-    Maximum and minimum propagate NaN and reach +-inf (``fmax``/``fmin`` skip
-    NaN), so both reductions are finite exactly when every value is. They run
-    on a no-copy float64 view of a contiguous float64 or complex128 array and
-    need no per-element mask; any other array takes ``isfinite``.
+    A contiguous float64 or complex128 array is checked in one pass over a
+    no-copy float64 view: NaN and +-inf propagate through addition, so a
+    finite ``einsum`` sum (its own loop, no BLAS and no temporary) can only
+    come from finite values. A sum that is not finite is a NaN or an inf, or
+    finite values that overflowed; an exact maximum and minimum then decide,
+    since both propagate NaN and reach +-inf (``fmax``/``fmin`` skip NaN).
+    Any other array takes ``isfinite``.
     """
     if values.dtype in (np.float64, np.complex128) and (
             values.flags.c_contiguous or values.flags.f_contiguous):
         flat = values.ravel(order="K").view(np.float64)
-        return flat.size == 0 or bool(
+        return bool(np.isfinite(np.einsum("i->", flat))) or bool(
             np.isfinite(np.maximum.reduce(flat)) and np.isfinite(np.minimum.reduce(flat)))
     return bool(np.isfinite(values).all())
 

@@ -1,7 +1,9 @@
 """The slice scanner against the whole-slice scan it replaced, on random one- and
 two-component slices: on-node cores up to |n| = 4, aperture masks with exact and
 signed zeros, and exact +-pi phase steps; and on dense random waves, whose records
-also sum to the winding of grid-aligned rectangles."""
+also sum to the winding of grid-aligned rectangles and keep the scan's symmetries
+(conjugation, a global phase, a positive scale and a quarter turn). The scan's
+one-partition median against ``np.median``."""
 
 import math
 from fractions import Fraction
@@ -9,7 +11,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from defectfield import ComplexScalarField, GridSpec, LoopPath, phase_winding
+from defectfield import (
+    ComplexScalarField,
+    DisclinationModel,
+    GridSpec,
+    LoopPath,
+    WaveParams,
+    detect,
+    find_disclinations,
+    find_dislocations,
+    phase_winding,
+    sample_potential,
+)
 from defectfield.detect import (
     _RING,
     REL_ZERO,
@@ -17,6 +30,7 @@ from defectfield.detect import (
     AmbiguousStepError,
     DefectRecord,
     _find_zeros,
+    _median,
     _plaquette_centroid,
     _plaquette_windings,
     _winding_from_values,
@@ -183,3 +197,114 @@ def test_records_in_a_grid_rectangle_sum_to_its_winding_on_a_dense_random_wave()
         inside = sum(r.index for r in records
                      if xs[i0] < r.position[0] < xs[i1] and ys[j0] < r.position[1] < ys[j1])
         assert inside == phase_winding(field, LoopPath(border + border[:1], z=0.5))
+
+
+# --- the one-partition median ------------------------------------------------
+
+@st.composite
+def amplitudes(draw):
+    """Amplitude-like arrays: sizes 1, 2 and up to 600, values that tie, exact
+    zeros, subnormals, +inf, magnitudes across the float range and pairs whose
+    sum overflows."""
+    size = draw(st.one_of(st.sampled_from([1, 2, 3, 4]), st.integers(1, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pools = {
+        "spread": lambda k: rng.exponential(size=k) * 10.0 ** rng.uniform(-300, 300, k),
+        "ties": lambda k: rng.choice(rng.exponential(size=3), size=k),
+        "zeros": lambda k: np.zeros(k),
+        "subnormals": lambda k: rng.integers(1, 2 ** 20, k) * 5e-324,
+        "inf": lambda k: np.full(k, math.inf),
+        "huge": lambda k: np.finfo(float).max * rng.uniform(0.5, 1.0, k),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=4))
+    which = rng.integers(0, len(kinds), size)
+    values = np.empty(size)
+    for n, kind in enumerate(kinds):
+        values[which == n] = pools[kind](int((which == n).sum()))
+    shapes = [(size,), (1, size)] + ([(2, size // 2)] if size % 2 == 0 else [])
+    return values.reshape(draw(st.sampled_from(shapes)))
+
+
+@SETTINGS
+@hypothesis.given(amplitudes())
+def test_median_equals_np_median_bit_for_bit(values):
+    before = values.copy()
+    with np.errstate(over="ignore"):  # two huge middle values average to +inf in both
+        got, expected = _median(values), np.median(values)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
+    assert values.tobytes() == before.tobytes()  # the input is left as it was
+
+
+def test_find_disclinations_keeps_its_records_where_the_rel_zero_medians_run(monkeypatch):
+    # 256^2 nodes centred on the axis: the core sits between nodes, so its plaquette
+    # passes only by the REL_ZERO test against each component's median
+    grid = GridSpec.centered((6.0, 6.0, 0.0), (256, 256, 1))
+    field = sample_potential(DisclinationModel(WaveParams.with_dispersion(k=1.3)), grid, 0.2)
+    sizes = []
+    monkeypatch.setattr(detect, "_median", lambda v: sizes.append(v.size) or _median(v))
+    records = find_disclinations(field, 0)
+    assert sizes[0] == 256 * 256 and len(sizes) == 3  # the floor, then Ax and Ay
+    comps = [field.ax[:, :, 0], field.ay[:, :, 0]]
+    assert records == whole_slice_find_zeros(comps, grid, 0, "disclination")
+    assert [r.index for r in records] == [1]
+    assert records[0].position[:2] == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+# --- symmetry relations of the slice scan on a dense random wave ---
+
+def _dislocations(values, grid=SPECKLE_GRID):
+    return find_dislocations(ComplexScalarField(grid, 0.0, values[:, :, None]), 0)
+
+
+@pytest.fixture(scope="module")
+def speckle():
+    values = random_wave(192, 5)
+    records = _dislocations(values)
+    assert len(records) == 688 and sum(r.index for r in records) == -14
+    return values, records
+
+
+def _same_positions_and_charges(got, expected, sign=1):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.position == pytest.approx(e.position, abs=1e-9, rel=0)
+        assert g.index == sign * e.index
+
+
+def test_conjugation_negates_every_charge(speckle):
+    values, records = speckle
+    got = _dislocations(values.conj())
+    _same_positions_and_charges(got, records, sign=-1)
+    assert [r.confidence for r in got] == [r.confidence for r in records]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5, math.pi])
+def test_a_global_phase_keeps_the_records(speckle, alpha):
+    values, records = speckle
+    got = _dislocations(values * complex(math.cos(alpha), math.sin(alpha)))
+    _same_positions_and_charges(got, records)
+    # |e^{i alpha} v| rounds apart from |v| in the last bits
+    assert [r.confidence for r in got] == pytest.approx([r.confidence for r in records],
+                                                        rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 3.0, 1e200])
+def test_a_positive_scale_keeps_the_records_and_scales_each_confidence(speckle, scale):
+    # the floor is relative to the slice's median, so it scales with the field
+    values, records = speckle
+    got = _dislocations(values * scale)
+    _same_positions_and_charges(got, records)
+    assert [r.confidence for r in got] == pytest.approx(
+        [scale * r.confidence for r in records], rel=1e-12, abs=0)
+
+
+def test_a_quarter_turn_rotates_the_positions_and_keeps_the_charges(speckle):
+    # (x, y) -> (-y, x): rot90's [i, j] is [j, n - 1 - i], on a grid whose origin
+    # puts each turned node on a node
+    values, records = speckle
+    (n, _, _), (ox, oy, oz) = SPECKLE_GRID.dims, SPECKLE_GRID.origin
+    turned = GridSpec(SPECKLE_GRID.dims, SPECKLE_GRID.spacing, (-(oy + n - 1), ox, oz))
+    got = _dislocations(np.rot90(values), turned)
+    expected = sorted(((-y, x, z), r.index, r.confidence)
+                      for r in records for x, y, z in [r.position])
+    assert [(r.position, r.index, r.confidence) for r in got] == expected

@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,70 @@ def test_all_finite_passes_finite_extremes_and_catches_each_non_finite_value():
                     values = edges.copy()
                     getattr(values, part)[i] = bad
                     assert not _all_finite(values), (dtype, bad, i, part)
+
+
+BIG = np.finfo(float).max
+
+
+def _overflowing(dtype, order, sign=1.0, shape=(12, 100)):
+    """Finite values whose sum overflows: runs of sign * DBL_MAX around a run of
+    the other sign (complex: DBL_MAX real and imaginary parts)."""
+    n = math.prod(shape)
+    runs = sign * np.repeat([BIG, -BIG, BIG], [n // 2, n // 6, n - n // 2 - n // 6])
+    values = runs if dtype is np.float64 else runs + 1j * runs[::-1]
+    return np.asarray(values.reshape(shape), order=order)
+
+
+def _strict_all_finite(values):
+    """``_all_finite`` with every floating-point flag and every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            return _all_finite(values)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_all_finite_passes_finite_values_whose_sum_overflows(dtype, order):
+    for sign in (1.0, -1.0):
+        values = _overflowing(dtype, order, sign)
+        assert values.flags[f"{order}_CONTIGUOUS"]
+        # the one-pass sum is not finite, so the exact reductions decide
+        assert not np.isfinite(np.einsum("i->", values.ravel(order="K").view(np.float64)))
+        assert _strict_all_finite(values)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_all_finite_catches_a_lone_non_finite_value_without_a_flag(dtype, order):
+    # inf + -inf is NaN, whichever comes first
+    assert not _strict_all_finite(np.array([[math.inf, -math.inf], [-math.inf, math.inf]],
+                                           dtype=dtype, order=order))
+    ones = np.full((12, 100), 1.5 + 0.5j if dtype is np.complex128 else 1.5, order=order)
+    for base in (ones, _overflowing(dtype, order)):
+        assert _strict_all_finite(base)
+        for bad in NON_FINITE:
+            for at in (0, base.size // 2, base.size - 1):
+                for part in ("real", "imag")[:1 + (dtype is np.complex128)]:
+                    values = base.copy(order="K")
+                    getattr(values, part)[np.unravel_index(at, values.shape)] = bad
+                    assert not _strict_all_finite(values), (bad, at, part)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_all_finite_of_a_contiguous_array_allocates_no_array_sized_temporary(dtype, order):
+    shape = (256, 4096)
+    finite_sum = np.full(shape, 1.5, dtype=dtype, order=order)
+    for values in (finite_sum, _overflowing(dtype, order, shape=shape)):
+        tracemalloc.start()
+        try:
+            assert _all_finite(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an isfinite mask would take one byte per element
+        assert peak < values.size // 64, peak
 
 
 @SETTINGS
