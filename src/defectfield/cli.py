@@ -99,11 +99,11 @@ def cmd_generate(args) -> int:
     else:
         extent = "6.0" if args.extent is None else args.extent
         grid = fields.GridSpec.centered(_parse_triple(extent, float), dims)
-    if isinstance(model, models.ScalarModel):
-        field = fields.sample_scalar(model, grid, args.time)
-    else:
-        field = fields.sample_potential(model, grid, args.time)
-    manifest_path, data_path = fieldio.save_field(field, args.out)
+    # the model's slabs stream to the file, so no more than one is held at once
+    scalar = isinstance(model, models.ScalarModel)
+    manifest_path, data_path = fieldio.write_field(
+        args.out, "scalar" if scalar else "potential", grid, args.time,
+        fields.sample_slabs(model, grid, args.time, 1 if scalar else 4))
     _write_run_manifest(
         manifest_path, "generate",
         inputs=[],

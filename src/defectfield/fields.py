@@ -10,11 +10,17 @@ returns the transposed result: every sampled array is x fastest, the
 order of a field file, so ``fieldio.save_field`` writes it without a copy,
 and numpy's inner loops run along x. Any model that broadcasts elementwise
 over its coordinates accepts the reversed grid, as every shipped model
-does. First derivatives are second order: central differences at interior
-nodes, one-sided three-point stencils at boundary nodes, and a plain
-two-point difference when an axis has only two nodes. The Laplacian sums
-the compact three-point second difference of each axis, with one-sided
-four-point stencils at boundary nodes.
+does. ``sample_slab`` evaluates the model on a slab of z planes, with the
+coordinates sliced from the whole grid's, so its values have the bits of the
+whole grid's sample; ``sample_scalar`` and ``sample_potential`` are it over
+every plane, and ``sample_slabs`` yields it slab after slab for a caller that
+streams a field to its file.
+
+First derivatives are second order: central differences at interior nodes,
+one-sided three-point stencils at boundary nodes, and a plain two-point
+difference when an axis has only two nodes. The Laplacian sums the compact
+three-point second difference of each axis, with one-sided four-point
+stencils at boundary nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# model output, over all components, per slab that sample_slabs yields: one
+# 257^2 or 256^2 potential plane (4.2 MB), three 257^2 scalar planes. Each slab
+# repeats the model's z-independent work, and larger slabs hold more memory.
+SLAB_BYTES = 4 << 20
 
 
 class SamplingError(ValueError):
@@ -187,31 +198,66 @@ class PotentialField:
         return ComplexScalarField(self.grid, self.time, self.component(name))
 
 
-def _on_grid(values, grid: GridSpec) -> np.ndarray:
-    """Output on the reversed open grid as a complex array of the grid's shape, x fastest."""
-    shape = grid.dims[::-1]
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.shape != shape:
-        arr = np.broadcast_to(arr, shape).copy()
-    return arr.T
+def sample_slab(model, grid: GridSpec, t: float, k0: int = 0, k1=None) -> list:
+    """The model's components on z planes [k0, k1) of the grid, unchecked (x fastest).
+
+    Each is a complex array shaped (nx, ny, k1 - k0). The coordinates are
+    slices of the grid's own axis arrays, passed as the reversed open grid,
+    so each value has the bits it has in the whole grid's sample.
+    """
+    nx, ny, nz = grid.dims
+    k1 = nz if k1 is None else k1
+    x, y, z = (grid.axis_coords(a) for a in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller's check names the node
+        comps = model.components(x[None, None, :], y[None, :, None], z[k0:k1, None, None], t)
+    shape = (k1 - k0, ny, nx)
+    out = []
+    for c in comps:
+        arr = np.asarray(c, dtype=np.complex128)
+        if arr.shape != shape:
+            arr = np.broadcast_to(arr, shape).copy()
+        out.append(arr.T)
+    return out
 
 
 def sample_scalar(model, grid: GridSpec, t: float) -> ComplexScalarField:
     """Evaluate a one-component (scalar) model at every grid node at time t (x fastest)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the field's check names the node
-        comps = model.components(*(c.T for c in grid.open_grid()), t)
+    comps = sample_slab(model, grid, t)
     if len(comps) != 1:
         raise TypeError("sample_scalar requires a scalar-valued model")
-    return ComplexScalarField(grid, t, _on_grid(comps[0], grid))
+    return ComplexScalarField(grid, t, comps[0])
 
 
 def sample_potential(model, grid: GridSpec, t: float) -> PotentialField:
     """Evaluate a four-component potential model at every grid node at time t (x fastest)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the field's check names the node
-        comps = model.components(*(c.T for c in grid.open_grid()), t)
+    comps = sample_slab(model, grid, t)
     if len(comps) != 4:
         raise TypeError("sample_potential requires a potential-valued model")
-    return PotentialField(grid, t, *(_on_grid(c, grid) for c in comps))
+    return PotentialField(grid, t, *comps)
+
+
+def sample_slabs(model, grid: GridSpec, t: float, count: int):
+    """Yield the model's components on consecutive slabs of z planes, from plane 0.
+
+    ``count`` is the model's component count (1 scalar, 4 potential). A slab
+    takes as many planes as fit in ``SLAB_BYTES`` over all its components,
+    at least one, and is one model call; each slab is checked finite. A
+    non-finite slab re-samples the whole grid, so the SamplingError names the
+    first non-finite node as ``sample_scalar`` or ``sample_potential`` does:
+    components in order, then nodes in (i, j, k) order.
+    """
+    nx, ny, nz = grid.dims
+    planes = max(1, SLAB_BYTES // (nx * ny * 16 * count))
+    for k0 in range(0, nz, planes):
+        k1 = min(k0 + planes, nz)
+        comps = sample_slab(model, grid, t, k0, k1)
+        if len(comps) != count:
+            raise TypeError(f"model gives {len(comps)} component(s), expected {count}")
+        if not all(_all_finite(c) for c in comps):
+            (sample_scalar if count == 1 else sample_potential)(model, grid, t)
+            # reached only by a model whose values differ from call to call
+            raise SamplingError(f"non-finite sample on z planes [{k0}, {k1})")
+        yield comps
 
 
 def _take(values: np.ndarray, idx, axis: int) -> np.ndarray:

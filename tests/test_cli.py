@@ -575,11 +575,11 @@ def test_generate_out_ending_in_bin_exits_usage(tmp_path, capsys):
 
 
 def test_out_of_memory_exits_usage(monkeypatch, capsys, tmp_path):
-    # no real allocation: the sampler stands in for an allocation numpy refuses
+    # no real allocation: the slab sampler stands in for an allocation numpy refuses
     def refuse(*args):
         raise MemoryError("Unable to allocate 149. GiB for an array")
 
-    monkeypatch.setattr(cli.fields, "sample_scalar", refuse)
+    monkeypatch.setattr(cli.fields, "sample_slab", refuse)
     assert main(["generate", "--model", DISLOCATION, "--dims", "4,4,1",
                  "--out", str(tmp_path / "field.json")]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -2,7 +2,8 @@
 two-component slices: on-node cores up to |n| = 4, aperture masks with exact and
 signed zeros, and exact +-pi phase steps; and on dense random waves, whose records
 also sum to the winding of grid-aligned rectangles and keep the scan's symmetries
-(conjugation, a global phase, a positive scale and a quarter turn). The scan's
+(conjugation, a global phase, a positive scale, a quarter turn, a transpose and a
+reflection). The scan's
 one-partition median against ``np.median``."""
 
 import math
@@ -306,5 +307,29 @@ def test_a_quarter_turn_rotates_the_positions_and_keeps_the_charges(speckle):
     turned = GridSpec(SPECKLE_GRID.dims, SPECKLE_GRID.spacing, (-(oy + n - 1), ox, oz))
     got = _dislocations(np.rot90(values), turned)
     expected = sorted(((-y, x, z), r.index, r.confidence)
+                      for r in records for x, y, z in [r.position])
+    assert [(r.position, r.index, r.confidence) for r in got] == expected
+
+
+def test_a_transpose_swaps_the_positions_and_negates_the_charges(speckle):
+    # (x, y) -> (y, x) on the grid with the origin's x and y swapped: a reflection,
+    # so every winding turns the other way
+    values, records = speckle
+    (ox, oy, oz) = SPECKLE_GRID.origin
+    swapped = GridSpec(SPECKLE_GRID.dims, SPECKLE_GRID.spacing, (oy, ox, oz))
+    got = _dislocations(values.T, swapped)
+    expected = sorted(((y, x, z), -r.index, r.confidence)
+                      for r in records for x, y, z in [r.position])
+    assert [(r.position, r.index, r.confidence) for r in got] == expected
+
+
+def test_a_reflection_reflects_the_positions_and_negates_the_charges(speckle):
+    # x -> -x: node i goes to node n - 1 - i on a grid whose origin is the
+    # reflected last node
+    values, records = speckle
+    (n, _, _), (ox, oy, oz) = SPECKLE_GRID.dims, SPECKLE_GRID.origin
+    reflected = GridSpec(SPECKLE_GRID.dims, SPECKLE_GRID.spacing, (-(ox + n - 1), oy, oz))
+    got = _dislocations(values[::-1], reflected)
+    expected = sorted(((-x, y, z), -r.index, r.confidence)
                       for r in records for x, y, z in [r.position])
     assert [(r.position, r.index, r.confidence) for r in got] == expected

@@ -1,8 +1,12 @@
-"""Field files: slice reads, the on-disk encoding, fuzzed manifests and the
-finiteness check."""
+"""Field files: slice reads, the on-disk encoding, streamed writes, fuzzed
+manifests and the finiteness check, whole and one window at a time."""
 
+import contextlib
+import io
 import json
 import math
+import mmap
+import os
 import re
 import tempfile
 import tracemalloc
@@ -19,10 +23,14 @@ from defectfield import (
     GridSpec,
     PotentialField,
     SamplingError,
+    ScalarModel,
     WaveParams,
     find_disclinations,
+    fieldio,
+    fields,
     find_dislocations,
     load_field,
+    model_from_descriptor,
     sample_potential,
     sample_scalar,
     save_field,
@@ -176,6 +184,153 @@ def test_load_field_checks_the_whole_file(tmp_path):
     for z_slice in (-1, 4):
         with pytest.raises(ValueError, match=f"slice {z_slice} out of range for 4 slice"):
             load_field(manifest, z_slice=z_slice)
+
+
+# --- streamed writes and the windowed check ---------------------------------
+
+DESCRIPTORS = (
+    {"model": "disclination", "k": 1.3, "c": 0.8},
+    {"model": "dislocation", "n": 1},
+    {"model": "dislocation", "n": -3, "k": 0.7},
+    {"model": "plane_wave", "kvec": [0.5, -1.0, 2.0]},
+    {"model": "product_sine"},
+    {"model": "constant", "value": [1, 2]},
+    {"model": "pure_gauge", "psi": {"model": "dislocation", "n": 2}},
+    {"model": "pure_gauge", "psi": {"model": "plane_wave"}},
+    {"model": "pure_gauge", "psi": {"model": "product_sine"}},
+    {"model": "pure_gauge", "psi": {"model": "constant", "value": [1, 2]}},
+)
+
+
+@st.composite
+def streams(draw, count):
+    """Dims (257^2 planes included: components not page-aligned), a slab of 1 to
+    nz + 1 planes (often not dividing nz) and a write run of 1 byte to 64 KiB."""
+    nx, ny = draw(st.sampled_from([(257, 257), (1, 1), (3, 2)]) | st.tuples(
+        st.integers(1, 12), st.integers(1, 12)))
+    nz = draw(st.integers(1, 2 if nx == 257 else 7))
+    plane = nx * ny * 16 * count
+    slab_bytes = draw(st.integers(1, nz + 1)) * plane + draw(st.integers(0, plane - 1))
+    return (nx, ny, nz), slab_bytes, draw(st.integers(1, 1 << 16))
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS, ids=json.dumps)
+@hypothesis.settings(SETTINGS, max_examples=15)
+@hypothesis.given(st.data(), st.sampled_from([0.0, 0.3]))
+def test_generate_streams_the_bytes_save_field_writes(descriptor, data, time):
+    # each run written ends on a run boundary or at a component's end
+    model = model_from_descriptor(descriptor)
+    scalar = isinstance(model, ScalarModel)
+    dims, slab_bytes, run_bytes = data.draw(streams(1 if scalar else 4))
+    field = (sample_scalar if scalar else sample_potential)(
+        model, GridSpec.centered(6.0, dims), time)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        saved, streamed = Path(tmp) / "saved", Path(tmp) / "streamed"
+        saved.mkdir()
+        streamed.mkdir()
+        save_field(field, saved / "f.json")
+        patch.setattr(fields, "SLAB_BYTES", slab_bytes)
+        patch.setattr(fieldio, "RUN_BYTES", run_bytes)
+        runs, write = [], os.pwritev
+
+        def pwritev(fd, pieces, offset):
+            runs.append((offset, sum(len(p) for p in pieces)))
+            return write(fd, pieces, offset)
+
+        patch.setattr(fieldio.os, "pwritev", pwritev)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["generate", "--model", json.dumps(descriptor), "--dims",
+                         ",".join(map(str, dims)), f"--time={time}",
+                         "--out", str(streamed / "f.json")]) == EXIT_OK
+        for name in ("f.json", "f.bin"):
+            assert (streamed / name).read_bytes() == (saved / name).read_bytes()
+        assert sorted(p.name for p in streamed.iterdir()) == ["f.bin", "f.json", "f.json.run.json"]
+    component = math.prod(dims) * 16
+    assert all((start + size) % run_bytes == 0 or (start + size) % component == 0
+               for start, size in runs)
+
+
+@st.composite
+def planted_windows(draw):
+    """A potential field file, a check window of 1 to 3 pages and non-finite values
+    planted at the first or last value of windows, windows that span two
+    components included, or anywhere."""
+    dims = draw(st.sampled_from([(9, 8, 5), (16, 16, 3), (7, 5, 11)]))
+    window = draw(st.integers(1, 3)) * mmap.PAGESIZE
+    values = math.prod(dims) * 4 * 2   # float64 values in the file
+    per_window = window // 8
+    starts = range(0, values, per_window)
+    at = st.one_of(st.sampled_from(starts),
+                   st.sampled_from([min(s + per_window, values) - 1 for s in starts]),
+                   st.integers(0, values - 1))
+    planted = draw(st.lists(st.tuples(at, st.sampled_from(NON_FINITE)), min_size=1, max_size=3))
+    return dims, window, planted
+
+
+@SETTINGS
+@hypothesis.given(planted_windows(), st.sampled_from([None, 0]))
+def test_windowed_check_names_the_node_the_whole_component_check_names(case, z_slice):
+    dims, window, planted = case
+    flat = np.full(math.prod(dims) * 4, 1.0 + 0.5j).view(np.float64)
+    for at, bad in planted:
+        flat[at] = bad
+    # file order: component, then z, y, x; the check sees each as (x, y, z)
+    components = flat.view(np.complex128).reshape(4, dims[2], dims[1], dims[0])
+    with pytest.raises(SamplingError) as expected:
+        for name, component in zip(("ax", "ay", "az", "phi"), components):
+            _require_finite(component.transpose(2, 1, 0), f"{name} value")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fieldio, "WINDOW_BYTES", window)
+        manifest, data = save_field(_sampled("potential", dims), Path(tmp) / "f.json")
+        data.write_bytes(flat.astype("<f8").tobytes())
+        with pytest.raises(SamplingError, match=f"^{re.escape(str(expected.value))}$"):
+            load_field(manifest, z_slice=z_slice)
+
+
+def test_failed_generate_leaves_the_existing_field_and_no_other_file(tmp_path, monkeypatch,
+                                                                       capsys):
+    args = ["generate", "--model", json.dumps(DESCRIPTORS[0]), "--dims", "9,8,6",
+            "--out", str(tmp_path / "f.json")]
+    assert main(args) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(fields, "SLAB_BYTES", 1)   # one plane a slab
+    monkeypatch.setattr(fieldio, "RUN_BYTES", 1)   # each slab written as it comes
+    real = fields.sample_slab
+
+    def failing(fail):
+        def sample_slab(model, grid, t, k0=0, k1=None):
+            comps = real(model, grid, t, k0, k1)
+            if k0 == 3 or k1 is None:   # the fourth slab, and any whole-grid sample
+                return fail(comps)
+            return comps
+        return sample_slab
+
+    def nan_at_ay(comps):
+        comps[1][4, 2, -1] = np.nan
+        return comps
+
+    def no_memory(comps):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    def model_raises(comps):
+        raise ValueError("the model failed")
+
+    def model_crashes(comps):
+        return 1 / 0
+
+    capsys.readouterr()
+    for fail, message in ((nan_at_ay, r"non-finite ay value at node \(4, 2, 5\)"),
+                          (no_memory, "out of memory: Unable to allocate 149. GiB"),
+                          (model_raises, "the model failed"),
+                          (model_crashes, None)):
+        monkeypatch.setattr(fields, "sample_slab", failing(fail))
+        if message is None:   # an error main does not report propagates
+            with pytest.raises(ZeroDivisionError):
+                main(args)
+        else:
+            assert main(args) == EXIT_USAGE
+            assert re.search(message, capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # --- fuzzed manifests through `detect` -------------------------------------
